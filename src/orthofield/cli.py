@@ -18,16 +18,16 @@ import itertools
 import os
 import sys
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 from . import __version__
-from .coboundary import center, check_order, decompose
+from .coboundary import VerificationError, center, check_order, decompose
 from .counterexample import comparison_report, embed_diagonal, truncated_martingale
 from .dependence import dependence_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, from_terms, innovation_at
 from .innovation import CapExceededError, InnovationLaw
 from .lattice import unit
-from .montecarlo import approximation_gap, sample_paths, uniform_grid
+from .montecarlo import MAX_SAMPLE_CELLS, GapStatistic, sample_paths, uniform_grid, window_radius
 from .report import Report, config_digest, format_value
 from .stats import ks_test, moment_summary, normal_cdf, sheet_covariance_check
 from .suites import run_all
@@ -93,13 +93,33 @@ def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
     raise ConfigError(f"functional: unknown builtin {name!r}")
 
 
+def _parse(key: str, convert, value):
+    """``convert(value)``, with a conversion failure reported against ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key}: cannot read {value!r}: {exc}") from exc
+
+
+def _check_sampling_budget(f: FiniteRangeFunctional, grids) -> None:
+    """Reject grids whose sampled region (grid plus window margin) exceeds the cell budget."""
+    r = window_radius(f)
+    for n in grids:
+        cells = prod(c + 2 * r for c in n)
+        if cells > MAX_SAMPLE_CELLS:
+            raise ConfigError(
+                f"grids: grid {list(n)} samples {cells} cells with its margin {r}, "
+                f"above the budget of {MAX_SAMPLE_CELLS}"
+            )
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping and build the experiment objects."""
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    dim = int(raw.get("dimension", 1))
+    dim = _parse("dimension", int, raw.get("dimension", 1))
     if not 1 <= dim <= 6:
         raise ConfigError(f"dimension: must be between 1 and 6, got {dim}")
 
@@ -127,26 +147,34 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     grids_doc = raw.get("grids", [[64] * dim])
     grids = []
     for g in grids_doc:
-        n = tuple(int(c) for c in (g if isinstance(g, (list, tuple)) else [g] * dim))
+        n = _parse(
+            "grids",
+            lambda v: tuple(int(c) for c in (v if isinstance(v, (list, tuple)) else [v] * dim)),
+            g,
+        )
         if len(n) != dim or any(c < 1 for c in n):
             raise ConfigError(f"grids: bad grid {g} for dimension {dim}")
         grids.append(n)
     if not grids:
         raise ConfigError("grids: need at least one grid")
+    if "grids" in raw:  # verify-clt, the only command that samples, also checks the default
+        _check_sampling_budget(f, grids)
 
-    replicates = int(raw.get("replicates", 500))
+    replicates = _parse("replicates", int, raw.get("replicates", 500))
     if replicates < 1:
         raise ConfigError("replicates: must be positive")
-    seed = int(raw.get("seed", DEFAULT_SEED))
-    t_resolution = int(raw.get("t_resolution", 4))
+    seed = _parse("seed", int, raw.get("seed", DEFAULT_SEED))
+    t_resolution = _parse("t_resolution", int, raw.get("t_resolution", 4))
     if t_resolution < 1:
         raise ConfigError("t_resolution: must be at least 1")
-    order = int(raw.get("order", 2))
+    order = _parse("order", int, raw.get("order", 2))
     if order < 1:
         raise ConfigError("order: must be a positive integer")
     auto_center = bool(raw.get("auto_center", False))
-    ks_level = float(raw.get("ks_level", 0.01))
-    truncations = [int(n) for n in raw.get("truncations", [2, 3, 4, 5])]
+    ks_level = _parse("ks_level", float, raw.get("ks_level", 0.01))
+    truncations = _parse(
+        "truncations", lambda v: [int(n) for n in v], raw.get("truncations", [2, 3, 4, 5])
+    )
 
     pairs_doc = raw.get("covariance_pairs")
     if pairs_doc is None:
@@ -269,6 +297,7 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
     f = cfg.functional
     if cfg.replicates < 200:
         raise ConfigError("replicates: verify-clt needs at least 200 replicates")
+    _check_sampling_budget(f, cfg.grids)
     kernel = martingale_kernel(f)
     if kernel.sigma2 <= 0.0:
         raise ConfigError("functional: degenerate limit (sigma2 is zero); use describe")
@@ -292,7 +321,7 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
 
     gap_medians = []
     for n in cfg.grids:
-        paths = sample_paths(f, n, t_grid, cfg.replicates, cfg.seed, threads)
+        paths = sample_paths(f, n, t_grid, cfg.replicates, cfg.seed, threads, kernel=kernel)
         corner = [p.value_at(one) for p in paths]
 
         ks = ks_test([v / sigma for v in corner], normal_cdf, cfg.ks_level)
@@ -310,7 +339,7 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
             )
             failed |= not row.within
 
-        gap = approximation_gap(f, n, cfg.replicates, cfg.seed, threads)
+        gap = GapStatistic.of(n, [p.gap for p in paths])
         gap_sec.add(n, gap.mean, gap.median, gap.q75, gap.max)
         gap_medians.append(gap.median)
 
@@ -435,6 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format == "csv" and not args.out:
+        print("error: --format csv requires --out", file=sys.stderr)
+        return 1
     try:
         raw = _load_raw_config(args.config)
         if args.seed is not None:
@@ -455,16 +487,16 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except VerificationError as exc:
+        print(f"error: failed check: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     if args.out:
         report.write(args.out, args.format)
     else:
-        if args.format == "csv":
-            print("error: --format csv requires --out", file=sys.stderr)
-            return 1
         sys.stdout.buffer.write(report.to_json_bytes())
     return code
 

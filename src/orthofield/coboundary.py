@@ -23,6 +23,20 @@ MARTINGALE_TOL = 1e-10
 _CHECK_TOL = 1e-10
 
 
+class VerificationError(ArithmeticError):
+    """A verified bound of the decomposition failed.
+
+    ``check`` names the bound, ``amount`` is its measured size and
+    ``tolerance`` the largest size allowed.
+    """
+
+    def __init__(self, check: str, amount: float, tolerance: float) -> None:
+        super().__init__(f"{check} {amount:.3e} exceeds {tolerance:g}")
+        self.check = check
+        self.amount = amount
+        self.tolerance = tolerance
+
+
 def check_order(f: FiniteRangeFunctional, m: int) -> bool:
     """True iff ``f`` is banded at order ``m`` on every axis.
 
@@ -144,8 +158,8 @@ def decompose(
     """Compute and verify all ``2^d`` coboundary components of an order-``m`` functional.
 
     Raises ``ValueError`` naming the violated axis and condition when ``f`` is
-    not banded at order ``m``, and ``ArithmeticError`` if any verified bound
-    exceeds its tolerance (callers never receive unverified parts).
+    not banded at order ``m``, and :class:`VerificationError` if any verified
+    bound exceeds its tolerance (callers never receive unverified parts).
     """
     violations = order_violations(f, m)
     if violations:
@@ -168,19 +182,19 @@ def decompose(
             if mask >> axis & 1:
                 one_step = cond_expect(h, Halfspace(axis, -1)).deviation()
                 martingale_violation = max(martingale_violation, one_step)
-                over = [s for s in h.essential_window() if s[axis] > 0]
-                if over:
-                    raise ArithmeticError(
-                        f"component {mask:b} reads sites {over} above level 0 on axis {axis}"
+                level = max((s[axis] for s in h.essential_window()), default=0)
+                if level > 0:
+                    raise VerificationError(
+                        f"component {mask:b} window level on axis {axis}", level, 0
                     )
 
     if residual > residual_tol:
-        raise ArithmeticError(f"reconstruction residual {residual:.3e} exceeds {residual_tol}")
+        raise VerificationError("reconstruction residual", residual, residual_tol)
     if kernel_residual > residual_tol:
-        raise ArithmeticError(f"kernel identity residual {kernel_residual:.3e} exceeds {residual_tol}")
+        raise VerificationError("kernel identity residual", kernel_residual, residual_tol)
     if martingale_violation > martingale_tol:
-        raise ArithmeticError(
-            f"martingale property violation {martingale_violation:.3e} exceeds {martingale_tol}"
+        raise VerificationError(
+            "martingale property violation", martingale_violation, martingale_tol
         )
     return CoboundaryParts(
         order=m,

@@ -184,8 +184,8 @@ def sample_region(
     key = stream_key(seed, replicate, region)
     rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     u = rng.random(region.shape)
-    cum = np.cumsum(law.probs)
-    cum[-1] = 1.0  # guard against rounding in the final bin
-    idx = np.searchsorted(cum, u, side="right")
+    # Inverse CDF: the alphabet index is the number of cumulative bin edges <= u.
+    # The last edge (1 up to rounding) is never counted, since u < 1.
+    idx = sum(u >= c for c in np.cumsum(law.probs[:-1]))
     values = np.asarray(law.values, dtype=np.float64)[idx]
     return FieldSample(region=region, values=values, seed=seed, replicate=replicate)

@@ -148,8 +148,8 @@ def prefix_sum(src: np.ndarray) -> SummedAreaTable:
         raise ValueError("source array must have at least one axis")
     if arr.size > MAX_TABLE_ENTRIES:
         raise ValueError(f"table too large: {arr.size} entries")
-    out = arr.copy()
-    for axis in range(arr.ndim):
+    out = np.cumsum(arr, axis=0)
+    for axis in range(1, arr.ndim):
         np.cumsum(out, axis=axis, out=out)
     return SummedAreaTable(out)
 

@@ -1,14 +1,16 @@
 """Seeded simulation of partial-sum and orthomartingale fields with maximal statistics.
 
-Every replicate derives its own innovation stream from ``(seed, replicate)``
-and evaluates the field and its orthomartingale approximation on the same
-sample, so pathwise comparisons are genuinely coupled.  Aggregation folds
+Every replicate derives its own innovation stream from ``(seed, replicate)``,
+draws its sample once (:func:`_replicate`, the one per-replicate kernel) and
+evaluates the field and its orthomartingale approximation on that sample, so
+pathwise comparisons are genuinely coupled.  Aggregation folds
 replicates in index order, which makes every statistic a pure function of
 ``(functional, grid, seed, replicates)`` regardless of worker count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor, prod, sqrt
@@ -24,6 +26,13 @@ from .lattice import Rectangle, Site, SummedAreaTable, prefix_sum
 # three standard errors of the estimated side.
 MC_SLACK_FACTOR = 1.10
 MC_SLACK_SE = 3.0
+
+# Largest sampled region (grid plus window margin on every side), in cells.
+# One replicate's working set peaks near 40 bytes per cell (the innovations,
+# the field values, both prefix sums and one temporary, as measured with
+# tracemalloc at 1024^2), so 2**22 cells hold it near 170 MiB per worker
+# thread.  The README configs sample at most 132^2 cells.
+MAX_SAMPLE_CELLS = 2**22
 
 
 def _map_replicates(fn, replicates: int, threads: int = 1) -> list:
@@ -56,7 +65,7 @@ def _grid_values(f: FiniteRangeFunctional, sample: FieldSample, n: Site) -> np.n
     lo = sample.region.lo
     out = np.zeros(shape, dtype=np.float64)
     for coeff, factors in f.terms:
-        arr = np.full(shape, coeff, dtype=np.float64)
+        arr = coeff
         for fac in factors:
             sl = tuple(
                 slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(fac.site, lo, shape)
@@ -73,14 +82,49 @@ def _grid_values(f: FiniteRangeFunctional, sample: FieldSample, n: Site) -> np.n
     return out
 
 
+def _replicate(
+    f: FiniteRangeFunctional,
+    d0: FiniteRangeFunctional | None,
+    region: Rectangle,
+    n: Site,
+    seed: int,
+    r: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The per-replicate kernel: one innovation draw feeds the field and its orthomartingale.
+
+    Samples ``region`` (which is ``sample_rect(f, n)``) once for replicate
+    ``r`` and returns the field values ``x`` on ``[1, n]``, their partial sums
+    ``s`` (``s[m - 1] = S_m``) and, when a kernel ``d0`` is given, the partial
+    sums ``m`` of the orthomartingale on the same sample (``None`` otherwise).
+    """
+    sample = sample_region(region, f.law, seed, r)
+    x = _grid_values(f, sample, n)
+    s = prefix_sum(x).values
+    m = None if d0 is None else prefix_sum(_grid_values(d0, sample, n)).values
+    return x, s, m
+
+
+def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int) -> list:
+    """``stat(s, m)`` of the partial sums of every replicate's single draw, in order."""
+    region = sample_rect(f, n)
+    return _map_replicates(
+        lambda r: stat(*_replicate(f, d0, region, n, seed, r)[1:]), replicates, threads
+    )
+
+
+def _gap(s: np.ndarray, m: np.ndarray, norm: float) -> float:
+    """The normalized approximation gap ``max_m |S_m - M_m| / norm``."""
+    d = s - m
+    return float(np.abs(d, out=d).max()) / norm
+
+
 def simulate_field(
     f: FiniteRangeFunctional, n: Site, seed: int, replicate: int = 0
 ) -> tuple[SummedAreaTable, np.ndarray]:
     """One replicate of the stationary field on ``[1, n]``: prefix table and raw values."""
     n = tuple(int(c) for c in n)
-    sample = sample_region(sample_rect(f, n), f.law, seed, replicate)
-    x = _grid_values(f, sample, n)
-    return prefix_sum(x), x
+    x, s, _ = _replicate(f, None, sample_rect(f, n), n, seed, replicate)
+    return SummedAreaTable(s), x
 
 
 def simulate_orthomartingale(
@@ -91,18 +135,11 @@ def simulate_orthomartingale(
     kernel: MartingaleKernel | None = None,
 ) -> SummedAreaTable:
     """The approximating orthomartingale on the same innovation sample as the field."""
-    n = tuple(int(c) for c in n)
     if kernel is None:
         kernel = martingale_kernel(f)
-    sample = sample_region(sample_rect(f, n), f.law, seed, replicate)
-    return prefix_sum(_grid_values(kernel.d0, sample, n))
-
-
-def _coupled(f, kernel, n, seed, replicate) -> tuple[np.ndarray, np.ndarray]:
-    sample = sample_region(sample_rect(f, n), f.law, seed, replicate)
-    s = prefix_sum(_grid_values(f, sample, n)).values
-    m = prefix_sum(_grid_values(kernel.d0, sample, n)).values
-    return s, m
+    n = tuple(int(c) for c in n)
+    _, _, m = _replicate(f, kernel.d0, sample_rect(f, n), n, seed, replicate)
+    return SummedAreaTable(m)
 
 
 @dataclass(frozen=True)
@@ -117,29 +154,30 @@ class GapStatistic:
     q75: float
     max: float
 
+    @classmethod
+    def of(cls, grid_n: Site, samples) -> "GapStatistic":
+        """Summarize per-replicate gaps given in replicate order."""
+        arr = np.asarray(samples)
+        return cls(
+            grid_n=grid_n,
+            replicates=len(samples),
+            samples=tuple(samples),
+            mean=float(arr.mean()),
+            median=float(np.median(arr)),
+            q75=float(np.quantile(arr, 0.75)),
+            max=float(arr.max()),
+        )
+
 
 def approximation_gap(
     f: FiniteRangeFunctional, n: Site, replicates: int, seed: int, threads: int = 1
 ) -> GapStatistic:
     """Sample ``max_m |S_m - M_m| / |n|^(1/2)`` over coupled replicates."""
     n = tuple(int(c) for c in n)
-    kernel = martingale_kernel(f)
     norm = sqrt(prod(n))
-
-    def one(r: int) -> float:
-        s, m = _coupled(f, kernel, n, seed, r)
-        return float(np.max(np.abs(s - m))) / norm
-
-    samples = _map_replicates(one, replicates, threads)
-    arr = np.asarray(samples)
-    return GapStatistic(
-        grid_n=n,
-        replicates=replicates,
-        samples=tuple(samples),
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        q75=float(np.quantile(arr, 0.75)),
-        max=float(arr.max()),
+    d0 = martingale_kernel(f).d0
+    return GapStatistic.of(
+        n, _fold(lambda s, m: _gap(s, m, norm), f, d0, n, replicates, seed, threads)
     )
 
 
@@ -173,12 +211,12 @@ def cairoli_ratio(
     if kernel.sigma2 <= 0.0:
         raise ValueError("degenerate kernel: sigma2 is zero")
     bound = (p / (p - 1.0)) ** (len(n) * p)
+    corner = tuple(c - 1 for c in n)
 
-    def one(r: int) -> tuple[float, float]:
-        m = simulate_orthomartingale(f, n, seed, r, kernel=kernel).values
-        return float(np.max(np.abs(m)) ** p), float(abs(m[tuple(c - 1 for c in n)]) ** p)
+    def stat(s, m) -> tuple[float, float]:
+        return float(np.max(np.abs(m)) ** p), float(abs(m[corner]) ** p)
 
-    pairs = _map_replicates(one, replicates, threads)
+    pairs = _fold(stat, f, kernel.d0, n, replicates, seed, threads)
     num = np.asarray([a for a, _ in pairs])
     den = np.asarray([b for _, b in pairs])
     ratio = float(num.mean() / den.mean())
@@ -223,12 +261,12 @@ def uniform_integrability_diagnostic(
     for n in n_list:
         n = tuple(int(c) for c in n)
         norm = sqrt(prod(n))
-
-        def one(r: int) -> float:
-            m = simulate_orthomartingale(f, n, seed, r, kernel=kernel).values
-            return float(np.max(np.abs(m))) / norm
-
-        y = np.asarray(_map_replicates(one, replicates, threads))
+        y = np.asarray(
+            _fold(
+                lambda s, m: float(np.max(np.abs(m))) / norm,
+                f, kernel.d0, n, replicates, seed, threads,
+            )
+        )
         y2 = y**2
         for a in levels:
             rows.append(
@@ -260,12 +298,9 @@ def maximal_inequality_check(
     """Compare ``|| max_m S_m ||_2`` against ``2^d |n|^(1/2)`` times the Hannan sum."""
     n = tuple(int(c) for c in n)
     rhs = 2 ** len(n) * sqrt(prod(n)) * sum(hannan_profile(f).values())
-
-    def one(r: int) -> float:
-        s, _ = simulate_field(f, n, seed, r)
-        return float(np.max(s.values)) ** 2
-
-    v = np.asarray(_map_replicates(one, replicates, threads))
+    v = np.asarray(
+        _fold(lambda s, m: float(np.max(s)) ** 2, f, None, n, replicates, seed, threads)
+    )
     mean = float(v.mean())
     lhs = sqrt(max(mean, 0.0))
     se_mean = float(v.std(ddof=1)) / sqrt(len(v))
@@ -277,16 +312,44 @@ def maximal_inequality_check(
 
 @dataclass(frozen=True)
 class PathSample:
-    """One replicate of the normalized partial-sum path on a time grid in [0,1]^d."""
+    """One replicate of the normalized partial-sum path on a time grid in [0,1]^d.
+
+    ``gap`` is the normalized approximation gap of the same draw, present when
+    the paths were sampled with the martingale kernel.
+    """
 
     grid_n: Site
     t_grid: tuple[tuple[float, ...], ...]
-    values: dict[tuple[float, ...], float]
+    values: Mapping[tuple[float, ...], float]
     replicate: int
     seed: int
+    gap: float | None = None
 
     def value_at(self, t) -> float:
         return self.values[tuple(float(c) for c in t)]
+
+
+class _PathRow(Mapping):
+    """One path's values as a read-only time -> value mapping over an array row.
+
+    ``positions`` (time -> column) is shared by every path of a grid, so a path
+    costs one small array instead of a dict of boxed floats.
+    """
+
+    __slots__ = ("_positions", "_row")
+
+    def __init__(self, positions: dict, row: np.ndarray) -> None:
+        self._positions = positions
+        self._row = row
+
+    def __getitem__(self, t) -> float:
+        return float(self._row[self._positions[t]])
+
+    def __iter__(self):
+        return iter(self._positions)
+
+    def __len__(self) -> int:
+        return len(self._positions)
 
 
 def uniform_grid(dim: int, resolution: int) -> tuple[tuple[float, ...], ...]:
@@ -307,20 +370,33 @@ def sample_paths(
     replicates: int,
     seed: int,
     threads: int = 1,
+    kernel: MartingaleKernel | None = None,
 ) -> list[PathSample]:
     """Normalized path samples ``S_{floor(n t)} / |n|^(1/2)`` at the given times.
 
     A time with any coordinate hitting index zero evaluates to the empty sum.
+    Given the martingale ``kernel``, every sample also carries the gap
+    ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, so one pass over the
+    replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
     """
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)
     norm = sqrt(prod(n))
+    # S_{floor(n t)} as one gather from the flat prefix array; empty sums read 0.
+    k = np.array(
+        [[floor(nq * tq) for nq, tq in zip(n, t)] for t in grid], dtype=np.intp
+    ).reshape(len(grid), len(n))
+    live = (k >= 1).all(axis=1)
+    flat = np.ravel_multi_index(tuple(np.maximum(k - 1, 0).T), n)
+    positions = {t: j for j, t in enumerate(grid)}
 
-    def one(r: int) -> PathSample:
-        s, _ = simulate_field(f, n, seed, r)
-        values = {
-            t: s.corner(tuple(floor(nq * tq) for nq, tq in zip(n, t))) / norm for t in grid
-        }
-        return PathSample(grid_n=n, t_grid=grid, values=values, replicate=r, seed=seed)
+    def stat(s, m) -> tuple[_PathRow, float | None]:
+        row = np.where(live, s.ravel()[flat], 0.0) / norm
+        return _PathRow(positions, row), None if m is None else _gap(s, m, norm)
 
-    return _map_replicates(one, replicates, threads)
+    d0 = None if kernel is None else kernel.d0
+    rows = _fold(stat, f, d0, n, replicates, seed, threads)
+    return [
+        PathSample(grid_n=n, t_grid=grid, values=values, replicate=r, seed=seed, gap=gap)
+        for r, (values, gap) in enumerate(rows)
+    ]

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from orthofield import cli
 from orthofield.cli import main, resolve_config, ConfigError
+from orthofield.coboundary import decompose
+from orthofield.montecarlo import MAX_SAMPLE_CELLS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -212,9 +215,70 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert main(["describe", "--config", cfg, "--out", str(tmp_path / "cap")]) == 2
 
 
-def test_csv_requires_out(capsys):
+def test_csv_requires_out(capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("selftest ran before the arguments were validated")
+
+    monkeypatch.setattr(cli, "run_all", no_compute)
     assert main(["selftest", "--format", "csv"]) == 1
     assert "--out" in capsys.readouterr().err
+
+
+def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch):
+    # a negative tolerance makes the reconstruction residual check fail
+    monkeypatch.setattr(cli, "decompose", lambda f, m: decompose(f, m, residual_tol=-1.0))
+    cfg = write_config(tmp_path, {"dimension": 1, "functional": "telescope", "order": 2})
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "reconstruction residual" in err and "exceeds -1" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_other_arithmetic_errors_are_not_config_errors(tmp_path, monkeypatch):
+    def broken(cfg, threads=1):
+        raise ZeroDivisionError("a bug, not a configuration")
+
+    monkeypatch.setitem(cli._COMMANDS, "describe", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["describe", "--out", str(tmp_path / "x")])
+
+
+def test_oversized_grid_rejected_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    huge = write_config(tmp_path, {"dimension": 2, "grids": [[16, 16], [40000, 40000]]})
+    for command in ("verify-clt", "describe"):
+        assert main([command, "--config", huge, "--out", str(tmp_path / command)]) == 1
+        assert "grids" in capsys.readouterr().err
+    # the default grid 64^d is checked where it is sampled: verify-clt, not describe
+    wide = write_config(tmp_path, {"dimension": 4}, name="wide.json")
+    assert main(["verify-clt", "--config", wide, "--out", str(tmp_path / "v4")]) == 1
+    assert "grids" in capsys.readouterr().err
+    assert main(["describe", "--config", wide, "--out", str(tmp_path / "d4")]) == 0
+
+
+def test_sampling_budget_admits_the_readme_configs():
+    for dim, grid in ((1, 1024), (2, 128), (3, 64)):
+        doc = {"dimension": dim, "functional": "linear", "grids": [[grid] * dim]}
+        assert resolve_config(doc).grids == [(grid,) * dim]
+    assert MAX_SAMPLE_CELLS < 2**31
+
+
+def test_non_numeric_config_values_name_the_field(tmp_path, capsys):
+    cases = (
+        ("replicates", "many"),
+        ("seed", 1e400),
+        ("dimension", None),
+        ("grids", [[1e400]]),
+        ("truncations", [2, 1e400]),
+        ("ks_level", [0.01]),
+    )
+    for key, value in cases:
+        cfg = write_config(tmp_path, {key: value}, name=f"{key}.json")
+        assert main(["describe", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_seed_and_replicates_overrides(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orthofield.coboundary import (
+    VerificationError,
     center,
     check_order,
     decompose,
@@ -215,3 +216,17 @@ def test_reconstruct_single_transfer_component():
 def test_zero_reconstructs_to_zero():
     components = {mask: zero(LAW, 2) for mask in range(4)}
     assert reconstruct_sum(components, 2).is_zero
+
+
+def test_failed_bounds_raise_verification_error_naming_the_check():
+    f = innovation_at(LAW, (-1,)) - innovation_at(LAW, (0,))
+    for kwargs, check in (
+        ({"residual_tol": -1.0}, "reconstruction residual"),
+        ({"martingale_tol": -1.0}, "martingale property violation"),
+    ):
+        with pytest.raises(VerificationError) as info:
+            decompose(f, 2, **kwargs)
+        err = info.value
+        assert isinstance(err, ArithmeticError)
+        assert err.check == check and err.tolerance == -1.0 and err.amount >= 0.0
+        assert str(err).startswith(check) and "exceeds -1" in str(err)
