@@ -66,6 +66,7 @@ from .projection import (
     Halfspace,
     cond_expect,
     kernel_sum,
+    origin_projections,
     project_full,
     project_line,
     projection_identity_report,

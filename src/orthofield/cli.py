@@ -7,8 +7,8 @@ separation table), and ``selftest`` (the exact-identity suites).  Reports are
 pure functions of (config, seed, version); ``--threads`` only changes wall
 time, never a byte of output.
 
-Exit codes: 0 success, 1 invalid configuration, 2 enumeration cap exceeded,
-3 statistical or identity check failed.
+Exit codes: 0 success, 1 invalid configuration or arguments, 2 enumeration cap
+exceeded, 3 statistical or identity check failed (stderr names each failed row).
 """
 
 from __future__ import annotations
@@ -27,9 +27,16 @@ from .dependence import dependence_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, from_terms, innovation_at
 from .innovation import CapExceededError, InnovationLaw
 from .lattice import unit
-from .montecarlo import MAX_SAMPLE_CELLS, GapStatistic, sample_paths, uniform_grid, window_radius
+from .montecarlo import (
+    MAX_PATH_VALUES,
+    MAX_SAMPLE_CELLS,
+    GapStatistic,
+    sample_paths,
+    uniform_grid,
+    window_radius,
+)
 from .report import Report, config_digest, format_value
-from .stats import ks_test, moment_summary, normal_cdf, sheet_covariance_check
+from .stats import SE_BOUND, ks_test, moment_summary, normal_cdf, sheet_covariance_check
 from .suites import run_all
 
 DEFAULT_SEED = 20260809
@@ -167,6 +174,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     t_resolution = _parse("t_resolution", int, raw.get("t_resolution", 4))
     if t_resolution < 1:
         raise ConfigError("t_resolution: must be at least 1")
+    path_values = replicates * (t_resolution + 1) ** dim
+    if path_values > MAX_PATH_VALUES:
+        raise ConfigError(
+            f"replicates, t_resolution: {replicates} paths at {t_resolution + 1}^{dim} times "
+            f"hold {path_values} values, above the budget of {MAX_PATH_VALUES}"
+        )
     order = _parse("order", int, raw.get("order", 2))
     if order < 1:
         raise ConfigError("order: must be a positive integer")
@@ -244,9 +257,17 @@ def _table_section(report: Report, name: str, f: FiniteRangeFunctional) -> None:
         sec.add(*row)
 
 
+def _report_failure(section: str, row: str, statistic: str, value: float, bound: float) -> None:
+    """Name one failed report row on stderr: section, row, statistic and its bound."""
+    print(
+        f"failed check: {section} {row}: {statistic} {format_value(value)} "
+        f"against bound {format_value(bound)}",
+        file=sys.stderr,
+    )
+
+
 def cmd_describe(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
     profile = dependence_profile(cfg.functional)
-    kernel = martingale_kernel(cfg.functional)
     report = _new_report(cfg, "describe")
 
     window = report.section("window", ["site"])
@@ -268,7 +289,7 @@ def cmd_describe(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
     totals.add("wm_total", profile.wm_total)
     totals.add("sigma2", profile.sigma2)
 
-    _table_section(report, "kernel_table", kernel.d0)
+    _table_section(report, "kernel_table", profile.kernel.d0)
     return report, 0
 
 
@@ -325,19 +346,34 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
         corner = [p.value_at(one) for p in paths]
 
         ks = ks_test([v / sigma for v in corner], normal_cdf, cfg.ks_level)
+        grid = f"grid {format_value(n)}"
         ks_sec.add(n, ks.statistic, ks.critical_value, ks.level, ks.sample_size, ks.passed)
-        failed |= not ks.passed
+        if not ks.passed:
+            failed = True
+            _report_failure("ks", grid, "statistic", ks.statistic, ks.critical_value)
 
         moments = moment_summary(corner)
-        var_ok = abs(moments.var - kernel.sigma2) <= 4.0 * moments.se_var
+        var_dev = abs(moments.var - kernel.sigma2)
+        var_bound = SE_BOUND * moments.se_var
+        var_ok = var_dev <= var_bound
         var_sec.add(n, moments.mean, moments.var, kernel.sigma2, moments.se_var, var_ok)
-        failed |= not var_ok
+        if not var_ok:
+            failed = True
+            _report_failure("variance", grid, "|var - target|", var_dev, var_bound)
 
         for row in sheet_covariance_check(paths, cfg.covariance_pairs, kernel.sigma2):
             cov_sec.add(
                 n, row.s, row.t, row.empirical, row.target, row.se, row.deviation_se, row.within
             )
-            failed |= not row.within
+            if not row.within:
+                failed = True
+                _report_failure(
+                    "covariance",
+                    f"{grid} s {format_value(row.s)} t {format_value(row.t)}",
+                    "|deviation_se|",
+                    abs(row.deviation_se),
+                    SE_BOUND,
+                )
 
         gap = GapStatistic.of(n, [p.gap for p in paths])
         gap_sec.add(n, gap.mean, gap.median, gap.q75, gap.max)
@@ -347,7 +383,15 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
     if len(cfg.grids) >= 2:
         ok = gap_medians[-1] < gap_medians[0] or gap_medians[0] == 0.0
         trend.add(cfg.grids[0], cfg.grids[-1], gap_medians[0], gap_medians[-1], ok)
-        failed |= not ok
+        if not ok:
+            failed = True
+            _report_failure(
+                "gap_trend",
+                f"grids {format_value(cfg.grids[0])} to {format_value(cfg.grids[-1])}",
+                "last_median",
+                gap_medians[-1],
+                gap_medians[0],
+            )
     return report, 3 if failed else 0
 
 
@@ -379,7 +423,15 @@ def cmd_counterexample(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report,
             row.mode,
             row.lower_bound_ok,
         )
-        failed |= row.lower_bound_ok is False
+        if row.lower_bound_ok is False:
+            failed = True
+            _report_failure(
+                "truncations",
+                f"n_max {row.n_max}",
+                "delta_total",
+                row.delta_total,
+                row.delta_lower_bound,
+            )
     growth = report.section("growth", ["n_max", "ratio"])
     for n in sorted(rep.growth_ratios):
         growth.add(n, rep.growth_ratios[n])
@@ -399,7 +451,9 @@ def cmd_selftest(
         tol = tolerance if tolerance is not None else c.tolerance
         ok = c.violation <= tol
         sec.add(c.suite, c.label, c.violation, tol, ok)
-        failed |= not ok
+        if not ok:
+            failed = True
+            _report_failure("suites", f"{c.suite} {c.label}", "violation", c.violation, tol)
     return report, 3 if failed else 0
 
 
@@ -441,8 +495,16 @@ def _resolve_threads(flag: int | None) -> int:
     return 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors exit 1, the code of an invalid configuration (2 means cap exceeded)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="orthofield",
         description="Exact projection algebra and Monte Carlo checks for stationary random fields.",
     )

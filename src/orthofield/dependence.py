@@ -19,10 +19,10 @@ from .lattice import Site
 from .projection import (
     Corner,
     Halfspace,
+    OriginProjections,
     cond_expect,
-    kernel_shift_candidates,
     kernel_sum,
-    project_full,
+    origin_projections,
 )
 
 # Scale-aware centering tolerance.
@@ -52,27 +52,33 @@ class MartingaleKernel:
     martingale_violation: float
 
 
-def hannan_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
+def hannan_profile(
+    f: FiniteRangeFunctional, projections: OriginProjections | None = None
+) -> dict[Site, float]:
     """Hannan coefficients: L2 norms of the origin projections of all shifts.
 
     Keys are the shifts with a nonzero projection; the Hannan sum is the sum
-    of the values.  Requires a centered functional.
+    of the values.  Requires a centered functional.  ``projections`` is
+    :func:`origin_projections` of ``f`` when the caller already has it.
     """
     _require_centered(f)
+    if projections is None:
+        projections = origin_projections(f)
     drop = _TERM_DROP * (1.0 + f.norm())
-    origin = (0,) * f.dim
     out: dict[Site, float] = {}
-    for i in kernel_shift_candidates(f):
-        value = project_full(f.shift(i), origin).norm()
+    for i, p in projections:
+        value = p.norm()
         if value > drop:
             out[i] = value
     return out
 
 
-def martingale_kernel(f: FiniteRangeFunctional) -> MartingaleKernel:
+def martingale_kernel(
+    f: FiniteRangeFunctional, projections: OriginProjections | None = None
+) -> MartingaleKernel:
     """Kernel of the orthomartingale approximation, with its exact variance."""
     _require_centered(f)
-    d0 = kernel_sum(f)
+    d0 = kernel_sum(f, projections)
     violation = 0.0
     for axis in range(f.dim):
         violation = max(violation, cond_expect(d0, Halfspace(axis, -1)).deviation())
@@ -145,7 +151,7 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
 
 @dataclass(frozen=True)
 class DependenceProfile:
-    """All per-site dependence coefficients of one functional, with totals."""
+    """All per-site dependence coefficients of one functional, with totals and its kernel."""
 
     hannan_terms: dict[Site, float]
     hannan_total: float
@@ -153,12 +159,24 @@ class DependenceProfile:
     delta_total: float
     wm_terms: dict[Site, float]
     wm_total: float
-    sigma2: float
+    kernel: MartingaleKernel
+
+    @property
+    def sigma2(self) -> float:
+        return self.kernel.sigma2
 
 
 def dependence_profile(f: FiniteRangeFunctional) -> DependenceProfile:
-    """Bundle the Hannan, physical-dependence, and conditional-norm coefficients."""
-    hannan = hannan_profile(f)
+    """Bundle the Hannan, physical-dependence, and conditional-norm coefficients.
+
+    The Hannan terms and the martingale kernel read one shared list of origin
+    projections, so each shift is projected once.
+    """
+    _require_centered(f)  # before the projection pass, not after it
+    projections = origin_projections(f)
+    hannan = hannan_profile(f, projections)
+    kernel = martingale_kernel(f, projections)
+    del projections  # free them before the other profiles run
     delta = physical_dependence(f)
     wm = maxwell_woodroofe_profile(f)
     return DependenceProfile(
@@ -168,7 +186,7 @@ def dependence_profile(f: FiniteRangeFunctional) -> DependenceProfile:
         delta_total=sum(delta.values()),
         wm_terms=wm,
         wm_total=sum(wm.values()),
-        sigma2=martingale_kernel(f).sigma2,
+        kernel=kernel,
     )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod, sqrt
 from typing import Callable, Iterable
 
@@ -25,7 +25,7 @@ from .innovation import (
     InnovationLaw,
     check_enum_cap,
 )
-from .lattice import Site, add as site_add
+from .lattice import Site
 
 VALUE = "value"
 INDICATOR = "indicator"
@@ -69,13 +69,16 @@ class Factor:
         return (self.site, self.kind, float(self.arg) if self.arg is not None else float("-inf"))
 
     def values_on(self, law: InnovationLaw) -> np.ndarray:
-        """The factor evaluated at every alphabet point."""
-        base = np.asarray(law.values, dtype=np.float64)
-        if self.kind == VALUE:
-            return base
-        if self.kind == INDICATOR:
-            return (base == self.arg).astype(np.float64)
-        return base**self.arg
+        """The factor evaluated at every alphabet point (shared and read-only)."""
+        return _alphabet_vector(law, self.kind, self.arg)
+
+    def _moved(self, i: Site) -> "Factor":
+        """The same read at ``site + i``; the fields are already canonical, so no re-validation."""
+        moved = object.__new__(Factor)
+        moved.__dict__.update(
+            site=tuple(a + b for a, b in zip(self.site, i)), kind=self.kind, arg=self.arg
+        )
+        return moved
 
     def evaluate(self, value: float) -> float:
         if self.kind == VALUE:
@@ -83,6 +86,20 @@ class Factor:
         if self.kind == INDICATOR:
             return 1.0 if value == self.arg else 0.0
         return value**self.arg
+
+
+@lru_cache(maxsize=1024)
+def _alphabet_vector(law: InnovationLaw, kind: str, arg) -> np.ndarray:
+    """One read at every alphabet point, built once per ``(law, kind, arg)``."""
+    base = np.asarray(law.values, dtype=np.float64)
+    if kind == VALUE:
+        out = base
+    elif kind == INDICATOR:
+        out = (base == arg).astype(np.float64)
+    else:
+        out = base**arg
+    out.setflags(write=False)
+    return out
 
 
 Term = tuple[float, tuple[Factor, ...]]
@@ -140,11 +157,10 @@ class FiniteRangeFunctional:
 
     @cached_property
     def _term_data(self):
-        """Per term: (coeff, {site: alphabet vector}, {site: mean}, bound).
+        """Per term: (coeff, {site: alphabet vector}, {site: mean}).
 
         The vector at a site is the product of all factor reads there; the mean
-        is its expectation under the law; the bound is ``|coeff|`` times the
-        product of max absolute vector entries (a sup-norm bound on the term).
+        is its expectation under the law.
         """
         probs = np.asarray(self.law.probs, dtype=np.float64)
         data = []
@@ -154,9 +170,20 @@ class FiniteRangeFunctional:
                 v = f.values_on(self.law)
                 vecs[f.site] = vecs[f.site] * v if f.site in vecs else v
             means = {s: float(probs @ v) for s, v in vecs.items()}
-            bound = abs(coeff) * prod(float(np.max(np.abs(v))) for v in vecs.values())
-            data.append((coeff, vecs, means, bound))
+            data.append((coeff, vecs, means))
         return data
+
+    @cached_property
+    def _term_bounds(self) -> list[float]:
+        """Per term: ``|coeff|`` times the product of max absolute vector entries.
+
+        A sup-norm bound on the term; only :meth:`deviation` and
+        :meth:`essential_window` read it.
+        """
+        return [
+            abs(coeff) * prod(float(np.max(np.abs(v))) for v in vecs.values())
+            for coeff, vecs, _ in self._term_data
+        ]
 
     # -- algebra ---------------------------------------------------------------
 
@@ -174,10 +201,7 @@ class FiniteRangeFunctional:
         i = tuple(int(c) for c in i)
         if len(i) != self.dim:
             raise ValueError(f"shift vector {i} has wrong dimension")
-        return self._like(
-            (c, [Factor(site_add(f.site, i), f.kind, f.arg) for f in fs])
-            for c, fs in self.terms
-        )
+        return self._like((c, [f._moved(i) for f in fs]) for c, fs in self.terms)
 
     def __add__(self, other: "FiniteRangeFunctional") -> "FiniteRangeFunctional":
         self._check_compatible(other)
@@ -226,7 +250,7 @@ class FiniteRangeFunctional:
         behind all conditional expectations.
         """
         items = []
-        for (coeff, factors), (_, _, means, _) in zip(self.terms, self._term_data):
+        for (coeff, factors), (_, _, means) in zip(self.terms, self._term_data):
             c = coeff
             kept = []
             dropped = set()
@@ -245,7 +269,7 @@ class FiniteRangeFunctional:
     def expectation(self) -> float:
         """Exact mean under the product law."""
         return float(
-            sum(c * prod(means.values()) for (c, _, means, _) in self._term_data)
+            sum(c * prod(means.values()) for (c, _, means) in self._term_data)
         )
 
     def inner(self, other: "FiniteRangeFunctional") -> float:
@@ -253,8 +277,8 @@ class FiniteRangeFunctional:
         self._check_compatible(other)
         probs = np.asarray(self.law.probs, dtype=np.float64)
         total = 0.0
-        for c1, vecs1, means1, _ in self._term_data:
-            for c2, vecs2, means2, _ in other._term_data:
+        for c1, vecs1, means1 in self._term_data:
+            for c2, vecs2, means2 in other._term_data:
                 val = c1 * c2
                 for site, v1 in vecs1.items():
                     v2 = vecs2.get(site)
@@ -298,7 +322,7 @@ class FiniteRangeFunctional:
         threshold = budget / len(diff.terms)
         big = []
         tiny_mass = 0.0
-        for (coeff, factors), (_, _, _, bound) in zip(diff.terms, diff._term_data):
+        for (coeff, factors), bound in zip(diff.terms, diff._term_bounds):
             if bound <= threshold:
                 tiny_mass += bound
             else:
@@ -326,7 +350,7 @@ class FiniteRangeFunctional:
         threshold = budget / len(self.terms)
         sites = {
             f.site
-            for (_, factors), (_, _, _, bound) in zip(self.terms, self._term_data)
+            for (_, factors), bound in zip(self.terms, self._term_bounds)
             if bound > threshold
             for f in factors
         }
@@ -339,7 +363,7 @@ def _table_array(f: FiniteRangeFunctional, sites: tuple[Site, ...]) -> np.ndarra
     pos = {s: k for k, s in enumerate(sites)}
     shape = (f.law.size,) * n
     out = np.zeros(shape, dtype=np.float64)
-    for coeff, vecs, _, _ in f._term_data:
+    for coeff, vecs, _ in f._term_data:
         arr = np.full(shape, coeff, dtype=np.float64) if n else np.float64(coeff)
         for site, v in vecs.items():
             axis_shape = [1] * n

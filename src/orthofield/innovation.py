@@ -72,13 +72,6 @@ class InnovationLaw:
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
 
-    def prob_of(self, value: float) -> float:
-        """Probability of one alphabet point; zero for values outside the alphabet."""
-        for v, p in zip(self.values, self.probs):
-            if v == value:
-                return p
-        return 0.0
-
 
 def law_moment(law: InnovationLaw, k: int) -> float:
     return law.moment(k)
@@ -103,12 +96,8 @@ class Configuration:
         return dict(zip(self.sites, self.values))
 
 
-def enumeration_size(n_sites: int, law: InnovationLaw) -> int:
-    return law.size**n_sites
-
-
 def check_enum_cap(n_sites: int, law: InnovationLaw, cap: int = DEFAULT_ENUM_CAP) -> int:
-    count = enumeration_size(n_sites, law)
+    count = law.size**n_sites
     if count > cap:
         raise CapExceededError(
             f"window too large for exact mode: {law.size}^{n_sites} = {count} "

@@ -35,18 +35,9 @@ def unit(dim: int, axis: int) -> Site:
     return tuple(1 if q == axis else 0 for q in range(dim))
 
 
-def add(i: Site, j: Site) -> Site:
-    _check_dims(i, j)
-    return tuple(a + b for a, b in zip(i, j))
-
-
 def sub(i: Site, j: Site) -> Site:
     _check_dims(i, j)
     return tuple(a - b for a, b in zip(i, j))
-
-
-def scale(k: int, i: Site) -> Site:
-    return tuple(k * a for a in i)
 
 
 def leq(i: Site, j: Site) -> bool:

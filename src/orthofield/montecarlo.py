@@ -34,6 +34,12 @@ MC_SLACK_SE = 3.0
 # thread.  The README configs sample at most 132^2 cells.
 MAX_SAMPLE_CELLS = 2**22
 
+# Most path values ``sample_paths`` may hold for one grid: ``replicates``
+# paths, each with one 8-byte value per point of the ``(t_resolution + 1)^d``
+# time grid, so 2**24 values are 128 MiB.  The README configs hold at most
+# 2000 * 5^2 = 50000.
+MAX_PATH_VALUES = 2**24
+
 
 def _map_replicates(fn, replicates: int, threads: int = 1) -> list:
     """Run ``fn(0..replicates-1)``, folding results in replicate order."""

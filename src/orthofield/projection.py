@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .functional import FiniteRangeFunctional, zero
+from .functional import FiniteRangeFunctional, _merge_terms, zero
 from .lattice import Site, leq
 
 
@@ -110,17 +110,35 @@ def kernel_shift_candidates(f: FiniteRangeFunctional) -> Iterable[Site]:
     return itertools.product(*axes)
 
 
-def kernel_sum(f: FiniteRangeFunctional) -> FiniteRangeFunctional:
+OriginProjections = list[tuple[Site, FiniteRangeFunctional]]
+
+
+def origin_projections(f: FiniteRangeFunctional) -> OriginProjections:
+    """``(i, P_0(f.shift(i)))`` for every kernel shift candidate ``i``, in candidate order.
+
+    The Hannan coefficients are the norms of these projections and the
+    martingale kernel is their sum, so one list serves both.
+    """
+    origin = (0,) * f.dim
+    return [(i, project_full(f.shift(i), origin)) for i in kernel_shift_candidates(f)]
+
+
+def kernel_sum(
+    f: FiniteRangeFunctional, projections: OriginProjections | None = None
+) -> FiniteRangeFunctional:
     """The exact finite sum of origin projections over all shifts of ``f``.
 
     For finite-range inputs this is the martingale kernel generating the
-    approximating orthomartingale.
+    approximating orthomartingale.  ``projections`` is
+    :func:`origin_projections` of ``f`` when the caller already has it.  One
+    merge over all projection terms adds the coefficients of each product in
+    candidate order: the same left fold, bit for bit, as adding the
+    projections one at a time.
     """
-    origin = (0,) * f.dim
-    out = zero(f.law, f.dim)
-    for i in kernel_shift_candidates(f):
-        out = out + project_full(f.shift(i), origin)
-    return out
+    if projections is None:
+        projections = origin_projections(f)
+    terms = itertools.chain.from_iterable(p.terms for _, p in projections)
+    return FiniteRangeFunctional(f.law, f.dim, _merge_terms(terms))
 
 
 @dataclass(frozen=True)

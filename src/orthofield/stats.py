@@ -82,6 +82,10 @@ def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     )
 
 
+# A Monte Carlo moment check fails beyond this many standard errors.
+SE_BOUND = 4.0
+
+
 @dataclass(frozen=True)
 class CovarianceRow:
     """Empirical path covariance at one time pair against the sheet kernel target."""
@@ -95,7 +99,7 @@ class CovarianceRow:
 
     @property
     def within(self) -> bool:
-        return abs(self.deviation_se) <= 4.0
+        return abs(self.deviation_se) <= SE_BOUND
 
 
 def sheet_covariance_check(paths, pairs, sigma2: float) -> list[CovarianceRow]:

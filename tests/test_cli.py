@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from orthofield import cli
 from orthofield.cli import main, resolve_config, ConfigError
 from orthofield.coboundary import decompose
-from orthofield.montecarlo import MAX_SAMPLE_CELLS
+from orthofield.counterexample import comparison_report
+from orthofield.montecarlo import MAX_PATH_VALUES, MAX_SAMPLE_CELLS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -264,6 +266,94 @@ def test_sampling_budget_admits_the_readme_configs():
         doc = {"dimension": dim, "functional": "linear", "grids": [[grid] * dim]}
         assert resolve_config(doc).grids == [(grid,) * dim]
     assert MAX_SAMPLE_CELLS < 2**31
+    # the README 2-D verify-clt config, and the default paths in every dimension
+    clt_2d = {"dimension": 2, "functional": "linear", "grids": [[128, 128]], "replicates": 2000}
+    assert resolve_config(clt_2d).replicates == 2000
+    for dim in range(1, 7):
+        assert resolve_config({"dimension": dim}).t_resolution == 4
+
+
+def test_path_budget_rejects_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    over = (
+        ("t_resolution", {"dimension": 2, "t_resolution": 4096}),
+        ("replicates", {"dimension": 1, "replicates": MAX_PATH_VALUES}),
+    )
+    for key, doc in over:
+        cfg = write_config(tmp_path, doc, name=f"{key}.json")
+        assert main(["verify-clt", "--config", cfg, "--out", str(tmp_path / key)]) == 1
+        assert key in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(doc)
+    # exactly at the budget is admitted
+    assert resolve_config({"replicates": MAX_PATH_VALUES // 5}).replicates == MAX_PATH_VALUES // 5
+
+
+def test_argument_errors_exit_1(capsys):
+    for argv in (["describe", "--bogus"], ["describe", "--format", "xml"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def failed_rows(report):
+    return [
+        row
+        for sec in report["sections"]
+        if sec["columns"][-1] == "pass"
+        for row in sec["rows"]
+        if row[-1] is False
+    ]
+
+
+def test_selftest_failures_are_named_on_stderr(tmp_path, capsys):
+    rc, report = run_json(tmp_path, ["selftest", "--tolerance", "0"])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    rows = failed_rows(report)
+    assert rows and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        suite, check, violation = row[0], row[1], row[2]
+        assert line.startswith(f"failed check: suites {suite} {check}: violation ")
+        assert line.endswith("against bound 0")
+
+
+def test_verify_clt_failures_are_named_on_stderr(tmp_path, capsys):
+    # grids from large to small: the approximation gap grows, so the trend row fails
+    doc = {
+        "dimension": 1,
+        "functional": {"builtin": "linear", "a": 0.5},
+        "grids": [[256], [4]],
+        "replicates": 200,
+    }
+    rc, report = run_json(tmp_path, ["verify-clt", "--config", write_config(tmp_path, doc)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(failed_rows(report))
+    assert "failed check: gap_trend grids 256 to 4: last_median " in "\n".join(lines)
+
+
+def test_counterexample_failures_are_named_on_stderr(tmp_path, capsys, monkeypatch):
+    def one_row_fails(n_list):
+        rep = comparison_report(n_list)
+        bad = dataclasses.replace(rep.rows[0], lower_bound_ok=False)
+        return dataclasses.replace(rep, rows=(bad,) + rep.rows[1:])
+
+    monkeypatch.setattr(cli, "comparison_report", one_row_fails)
+    rc, _ = run_json(tmp_path, ["counterexample", "--truncations", "2,3"])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("failed check: truncations n_max 2: delta_total ")
+    assert " against bound " in lines[0]
 
 
 def test_non_numeric_config_values_name_the_field(tmp_path, capsys):
