@@ -8,13 +8,13 @@ pure functions of (config, seed, version); ``--threads`` only changes wall
 time, never a byte of output.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 enumeration cap
-exceeded, 3 statistical or identity check failed (stderr names each failed row).
+or report row cap exceeded, 3 statistical or identity check failed (stderr names
+each failed row).
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -35,11 +35,15 @@ from .montecarlo import (
     uniform_grid,
     window_radius,
 )
-from .report import Report, config_digest, format_value
+from .report import DenseTable, Report, config_digest, format_value
 from .stats import SE_BOUND, ks_test, moment_summary, normal_cdf, sheet_covariance_check
 from .suites import run_all
 
 DEFAULT_SEED = 20260809
+
+# Dense rows one report section may hold: a describe or decompose table above
+# it exits 2 before it is materialized (counterexample:9 writes 2^19 rows).
+MAX_REPORT_ROWS = 2**20
 
 
 class ConfigError(ValueError):
@@ -246,15 +250,15 @@ def _new_report(cfg: ExperimentConfig, command: str) -> Report:
 
 def _table_section(report: Report, name: str, f: FiniteRangeFunctional) -> None:
     """Emit the dense value table of a functional as one section."""
+    rows = f.law.size ** len(f.window)
+    if rows > MAX_REPORT_ROWS:
+        raise CapExceededError(
+            f"{name}: {f.law.size}^{len(f.window)} = {rows} dense rows exceed "
+            f"the report cap {MAX_REPORT_ROWS}"
+        )
     table = f.materialize()
     columns = [f"site {format_value(s)}" for s in table.sites] + ["value"]
-    sec = report.section(name, columns)
-    if not table.sites:
-        sec.add(float(table.values))
-        return
-    for idx in itertools.product(range(f.law.size), repeat=len(table.sites)):
-        row = [f.law.values[j] for j in idx] + [float(table.values[idx])]
-        sec.add(*row)
+    report.section(name, columns, DenseTable(f.law.values, len(table.sites), table.values))
 
 
 def _report_failure(section: str, row: str, statistic: str, value: float, bound: float) -> None:
@@ -559,7 +563,7 @@ def main(argv=None) -> int:
     if args.out:
         report.write(args.out, args.format)
     else:
-        sys.stdout.buffer.write(report.to_json_bytes())
+        report.stream_json(sys.stdout.buffer)
     return code
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coboundary import center, decompose
+from .coboundary import RESIDUAL_TOL, center, decompose
 from .dependence import martingale_kernel, tail_sum_inequality
 from .functional import (
     Factor,
@@ -24,9 +24,8 @@ from .functional import (
 from .innovation import InnovationLaw
 from .projection import projection_identity_report, projective_decomposition
 
-# Tolerances of the exact suites.
+# Tolerance of the exact identity suites; the coboundary suite uses decompose's RESIDUAL_TOL.
 IDENTITY_TOL = 1e-10
-RESIDUAL_TOL = 1e-9
 
 
 def random_functional(

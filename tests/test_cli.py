@@ -8,6 +8,8 @@ from orthofield import cli
 from orthofield.cli import main, resolve_config, ConfigError
 from orthofield.coboundary import decompose
 from orthofield.counterexample import comparison_report
+from orthofield.dependence import martingale_kernel
+from orthofield.functional import FiniteRangeFunctional
 from orthofield.montecarlo import MAX_PATH_VALUES, MAX_SAMPLE_CELLS
 
 
@@ -215,6 +217,24 @@ def test_cap_exceeded_exit_code(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["describe", "--config", cfg, "--out", str(tmp_path / "cap")]) == 2
+
+
+def test_report_row_cap_exits_2_before_materializing(tmp_path, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was materialized")
+
+    # counterexample:10 has a 21-site kernel window: 2^21 rows, under the enumeration cap
+    monkeypatch.setattr(FiniteRangeFunctional, "materialize", no_table)
+    cfg = write_config(tmp_path, {"functional": "counterexample:10"})
+    assert main(["describe", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "kernel_table" in err and str(2**21) in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_report_row_cap_admits_counterexample_9():
+    f = resolve_config({"functional": "counterexample:9"}).functional
+    assert f.law.size ** len(martingale_kernel(f).d0.window) == 2**19 <= cli.MAX_REPORT_ROWS
 
 
 def test_csv_requires_out(capsys, monkeypatch):
