@@ -45,10 +45,9 @@ from .innovation import (
     FieldSample,
     InnovationLaw,
     enumerate_configs,
-    law_moment,
     sample_region,
 )
-from .lattice import Rectangle, Site, SummedAreaTable, box, leq, prefix_sum, rect_sum, unit
+from .lattice import Rectangle, Site, SummedAreaTable, box, leq, prefix_sum, unit
 from .montecarlo import (
     GapStatistic,
     PathSample,

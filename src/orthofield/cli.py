@@ -22,7 +22,12 @@ from math import prod, sqrt
 
 from . import __version__
 from .coboundary import VerificationError, center, check_order, decompose
-from .counterexample import comparison_report, embed_diagonal, truncated_martingale
+from .counterexample import (
+    MAX_TRUNCATION_WORK,
+    comparison_report,
+    embed_diagonal,
+    truncated_martingale,
+)
 from .dependence import dependence_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, from_terms, innovation_at
 from .innovation import CapExceededError, InnovationLaw
@@ -192,6 +197,14 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     truncations = _parse(
         "truncations", lambda v: [int(n) for n in v], raw.get("truncations", [2, 3, 4, 5])
     )
+    if any(n < 1 for n in truncations):
+        raise ConfigError(f"truncations: depths must be at least 1, got {truncations}")
+    work = sum(n * n for n in set(truncations))
+    if work > MAX_TRUNCATION_WORK:
+        raise ConfigError(
+            f"truncations: the squares of the depths {sorted(set(truncations))} sum to "
+            f"{work}, above the budget of {MAX_TRUNCATION_WORK}"
+        )
 
     pairs_doc = raw.get("covariance_pairs")
     if pairs_doc is None:

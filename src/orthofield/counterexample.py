@@ -24,6 +24,11 @@ EXACT_MODE_MAX = 11
 # Every truncation's Hannan sum stays below sqrt(zeta(2)).
 HANNAN_CEILING = sqrt(pi**2 / 6.0)
 
+# delta_lower_bound_closed_form(n) adds about n^2 / 2 terms; the sum of n^2
+# over the distinct requested depths may be at most this (one depth of 4096,
+# about 1.4 s on a 2-core host).
+MAX_TRUNCATION_WORK = 2**24
+
 
 def _require_rademacher(law: InnovationLaw) -> None:
     if law.values != (-1.0, 1.0) or law.probs != (0.5, 0.5):

@@ -90,31 +90,31 @@ def physical_dependence(f: FiniteRangeFunctional) -> dict[Site, float]:
 
     For each window site the innovation there is replaced by an independent
     copy; the copy lives on a fresh site outside the window so the joint law
-    of the pair is enumerated exactly.  Sites outside the window contribute
-    zero and are omitted.
+    of the pair is enumerated exactly.  Only the terms that read the site enter
+    the difference: every other term cancels against its unchanged copy as an
+    exact ``c + (-c)`` pair.  Sites outside the window contribute zero and are
+    omitted.
     """
     if f.is_zero:
         return {}
     drop = _TERM_DROP * (1.0 + f.norm())
     spare = max(s[0] for s in f.window) + 1
+    readers: dict[Site, list] = {}
+    for c, fs in f.terms:
+        for site in {fac.site for fac in fs}:
+            readers.setdefault(site, []).append((c, fs))
     out: dict[Site, float] = {}
     for site in f.window:
         star = (spare,) + site[1:]
-        relocated = FiniteRangeFunctional(
-            f.law,
-            f.dim,
-            tuple(
-                (
-                    c,
-                    tuple(
-                        Factor(star, fac.kind, fac.arg) if fac.site == site else fac
-                        for fac in factors
-                    ),
-                )
-                for c, factors in f.terms
-            ),
+        terms = readers[site]
+        relocated = tuple(
+            (c, tuple(Factor(star, fac.kind, fac.arg) if fac.site == site else fac for fac in fs))
+            for c, fs in terms
         )
-        value = (f - relocated).norm()
+        diff = FiniteRangeFunctional(f.law, f.dim, tuple(terms)) - FiniteRangeFunctional(
+            f.law, f.dim, relocated
+        )
+        value = diff.norm()
         if value > drop:
             out[site] = value
     return out
@@ -128,6 +128,10 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
     divided by the square root of the index product.  Once every coordinate of
     ``k`` exceeds the window diameter the conditional expectation integrates
     the whole window out and the term vanishes, so the support is finite.
+
+    A term that integrates out a site whose mean is exactly ``0.0`` only adds
+    ``+-0.0`` to its product, so only the other terms are shifted and
+    conditioned, and an index with no such term left is skipped.
     """
     _require_centered(f)
     if f.is_zero:
@@ -138,11 +142,21 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
     if any(k < 1 for k in kmax):
         return {}
     origin = Corner((0,) * f.dim)
+    null_sites = [
+        [s for s, m in means.items() if m == 0.0] for _, _, means in f._term_data
+    ]
     out: dict[Site, float] = {}
     for k in itertools.product(*(range(1, m + 1) for m in kmax)):
         if not any(all(kq <= -sq for kq, sq in zip(k, s)) for s in window):
             continue
-        g = cond_expect(f.shift(k), origin)
+        live = tuple(
+            term
+            for term, nulls in zip(f.terms, null_sites)
+            if all(all(kq <= -sq for kq, sq in zip(k, s)) for s in nulls)
+        )
+        if not live:
+            continue
+        g = cond_expect(FiniteRangeFunctional(f.law, f.dim, live).shift(k), origin)
         value = g.norm()
         if value > drop:
             out[k] = value / sqrt(prod(k))

@@ -68,10 +68,6 @@ class Factor:
     def _sort_key(self):
         return (self.site, self.kind, float(self.arg) if self.arg is not None else float("-inf"))
 
-    def values_on(self, law: InnovationLaw) -> np.ndarray:
-        """The factor evaluated at every alphabet point (shared and read-only)."""
-        return _alphabet_vector(law, self.kind, self.arg)
-
     def _moved(self, i: Site) -> "Factor":
         """The same read at ``site + i``; the fields are already canonical, so no re-validation."""
         moved = object.__new__(Factor)
@@ -86,6 +82,20 @@ class Factor:
         if self.kind == INDICATOR:
             return 1.0 if value == self.arg else 0.0
         return value**self.arg
+
+
+@lru_cache(maxsize=4096)
+def _site_vector(law: InnovationLaw, reads: tuple) -> np.ndarray:
+    """The product of the ``(kind, arg)`` reads of one site, multiplied in order.
+
+    Equal reads share one array, so :meth:`FiniteRangeFunctional.inner` can
+    key the per-site moments on array identity.
+    """
+    out = _alphabet_vector(law, *reads[0])
+    for kind, arg in reads[1:]:
+        out = out * _alphabet_vector(law, kind, arg)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -165,10 +175,10 @@ class FiniteRangeFunctional:
         probs = np.asarray(self.law.probs, dtype=np.float64)
         data = []
         for coeff, factors in self.terms:
-            vecs: dict[Site, np.ndarray] = {}
+            reads: dict[Site, tuple] = {}
             for f in factors:
-                v = f.values_on(self.law)
-                vecs[f.site] = vecs[f.site] * v if f.site in vecs else v
+                reads[f.site] = reads.get(f.site, ()) + ((f.kind, f.arg),)
+            vecs = {s: _site_vector(self.law, r) for s, r in reads.items()}
             means = {s: float(probs @ v) for s, v in vecs.items()}
             data.append((coeff, vecs, means))
         return data
@@ -276,13 +286,23 @@ class FiniteRangeFunctional:
         """Exact inner product ``E[f g]``; factorizes over the union window."""
         self._check_compatible(other)
         probs = np.asarray(self.law.probs, dtype=np.float64)
+        # E[v1 v2] per pair of site vectors, keyed on identity: the vectors are
+        # shared (see _site_vector) and both functionals hold them for the call.
+        moments: dict[tuple[int, int], float] = {}
         total = 0.0
         for c1, vecs1, means1 in self._term_data:
             for c2, vecs2, means2 in other._term_data:
                 val = c1 * c2
                 for site, v1 in vecs1.items():
                     v2 = vecs2.get(site)
-                    val *= float(probs @ (v1 * v2)) if v2 is not None else means1[site]
+                    if v2 is None:
+                        val *= means1[site]
+                        continue
+                    key = (id(v1), id(v2))
+                    moment = moments.get(key)
+                    if moment is None:
+                        moment = moments[key] = float(probs @ (v1 * v2))
+                    val *= moment
                 for site, m2 in means2.items():
                     if site not in vecs1:
                         val *= m2
@@ -384,32 +404,6 @@ class ValueTable:
     sites: tuple[Site, ...]
     law: InnovationLaw
     values: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def _expand(self, union: tuple[Site, ...]) -> np.ndarray:
-        shape = [1] * len(union)
-        src_axes = []
-        for s in self.sites:
-            src_axes.append(union.index(s))
-        arr = self.values
-        if not self.sites:
-            return np.broadcast_to(arr, (self.law.size,) * len(union)) if union else arr
-        order = np.argsort(src_axes)
-        arr = np.transpose(arr, order)
-        for k, axis in enumerate(sorted(src_axes)):
-            shape[axis] = self.law.size
-        arr = arr.reshape(shape)
-        return np.broadcast_to(arr, (self.law.size,) * len(union))
-
-    def max_deviation(self, other: "ValueTable") -> float:
-        if self.law != other.law:
-            raise ValueError("tables built on different laws")
-        union = tuple(sorted(set(self.sites) | set(other.sites)))
-        a = self._expand(union)
-        b = other._expand(union)
-        return float(np.max(np.abs(a - b))) if union else abs(float(a) - float(b))
 
 
 # -- builders ----------------------------------------------------------------------

@@ -73,10 +73,6 @@ class InnovationLaw:
         return self.moment(2) - m1 * m1
 
 
-def law_moment(law: InnovationLaw, k: int) -> float:
-    return law.moment(k)
-
-
 @dataclass(frozen=True)
 class Configuration:
     """One joint assignment of alphabet values to a finite site set."""

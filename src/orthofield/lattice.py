@@ -2,8 +2,7 @@
 
 All partial-sum machinery works with dense arrays indexed by rectangles
 ``[lo, hi]`` in the coordinatewise order on Z^d.  Prefix tables store the
-running sums ``S_m`` over ``[1, m]`` for every ``m`` up to the extent, and
-arbitrary rectangular sums are recovered by inclusion-exclusion.
+running sums ``S_m`` over ``[1, m]`` for every ``m`` up to the extent.
 """
 
 from __future__ import annotations
@@ -44,12 +43,6 @@ def leq(i: Site, j: Site) -> bool:
     """Coordinatewise partial order: true iff ``i_q <= j_q`` for every axis."""
     _check_dims(i, j)
     return all(a <= b for a, b in zip(i, j))
-
-
-def meet(i: Site, j: Site) -> Site:
-    """Coordinatewise minimum (the lattice meet ``i ^ j``)."""
-    _check_dims(i, j)
-    return tuple(min(a, b) for a, b in zip(i, j))
 
 
 def _check_dims(i: Site, j: Site) -> None:
@@ -143,18 +136,3 @@ def prefix_sum(src: np.ndarray) -> SummedAreaTable:
     for axis in range(1, arr.ndim):
         np.cumsum(out, axis=axis, out=out)
     return SummedAreaTable(out)
-
-
-def rect_sum(table: SummedAreaTable, rect: Rectangle) -> float:
-    """Sum of the source array over ``rect`` by 2^d-term inclusion-exclusion."""
-    if rect.dim != table.dim:
-        raise ValueError(f"dimension mismatch: {rect.dim} vs {table.dim}")
-    if any(l < 1 for l in rect.lo) or any(h > e for h, e in zip(rect.hi, table.extent)):
-        raise ValueError(f"rectangle [{rect.lo}, {rect.hi}] outside [1, {table.extent}]")
-    total = 0.0
-    for mask in itertools.product((0, 1), repeat=rect.dim):
-        corner = tuple(
-            h if bit == 0 else l - 1 for bit, l, h in zip(mask, rect.lo, rect.hi)
-        )
-        total += (-1) ** sum(mask) * table.corner(corner)
-    return total

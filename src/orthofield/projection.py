@@ -97,17 +97,27 @@ def projective_decomposition(f: FiniteRangeFunctional) -> dict[Site, FiniteRange
     return out
 
 
-def kernel_shift_candidates(f: FiniteRangeFunctional) -> Iterable[Site]:
+def kernel_shift_candidates(f: FiniteRangeFunctional) -> list[Site]:
     """Shifts ``i`` for which the projection at the origin of the shifted field can be nonzero.
 
-    The shifted window must meet every coordinate hyperplane through the
-    origin, so each coordinate of ``i`` ranges over the negated window
-    coordinates of its axis.
+    The projection acts term by term.  A product term's ``P_0`` is zero unless,
+    after the shift, for every axis ``q`` one of its sites is ``<= 0`` on
+    every axis and has coordinate 0 on axis ``q``; otherwise both conditionings
+    along that axis keep the same sites and the term's parts cancel.  With
+    ``t = -i`` this says ``t`` is the coordinatewise max of the term's sites
+    that lie below it, i.e. a join of a nonempty subset of the term's sites.
+    The candidates are the union of these joins over the terms, in the order of
+    the product of the negated window coordinates of each axis (each axis
+    descending).
     """
-    if f.is_zero:
-        return ()
-    axes = [tuple(-c for c in f.axis_coords(axis)) for axis in range(f.dim)]
-    return itertools.product(*axes)
+    live: set[Site] = set()
+    for _, factors in f.terms:
+        joins: set[Site] = set()
+        for s in {fac.site for fac in factors}:
+            joins |= {tuple(map(max, s, t)) for t in joins}
+            joins.add(s)
+        live |= joins
+    return [tuple(-c for c in t) for t in sorted(live)]
 
 
 OriginProjections = list[tuple[Site, FiniteRangeFunctional]]
@@ -116,8 +126,11 @@ OriginProjections = list[tuple[Site, FiniteRangeFunctional]]
 def origin_projections(f: FiniteRangeFunctional) -> OriginProjections:
     """``(i, P_0(f.shift(i)))`` for every kernel shift candidate ``i``, in candidate order.
 
-    The Hannan coefficients are the norms of these projections and the
-    martingale kernel is their sum, so one list serves both.
+    Only the candidates are projected: at every other shift the projection is
+    zero as a function (projecting there anyway can leave a rounding residue
+    far below the Hannan drop threshold).  The Hannan coefficients are the
+    norms of these projections and the martingale kernel is their sum, so one
+    list serves both.
     """
     origin = (0,) * f.dim
     return [(i, project_full(f.shift(i), origin)) for i in kernel_shift_candidates(f)]

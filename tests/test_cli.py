@@ -312,6 +312,22 @@ def test_path_budget_rejects_before_compute(tmp_path, capsys, monkeypatch):
     assert resolve_config({"replicates": MAX_PATH_VALUES // 5}).replicates == MAX_PATH_VALUES // 5
 
 
+def test_truncation_budget_rejects_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("counterexample started")
+
+    monkeypatch.setattr(cli, "comparison_report", no_compute)
+    for depths in ("1000000000", "2,4097", "0,3", "-2"):
+        out = tmp_path / depths.replace(",", "_")
+        assert main(["counterexample", "--truncations", depths, "--out", str(out)]) == 1
+        assert "truncations" in capsys.readouterr().err
+        assert not out.exists()
+    # exactly at the budget is admitted, and repeated depths count once
+    assert resolve_config({"truncations": [4096, 4096]}).truncations == [4096, 4096]
+    with pytest.raises(ConfigError, match="truncations"):
+        resolve_config({"truncations": [4096, 1]})
+
+
 def test_argument_errors_exit_1(capsys):
     for argv in (["describe", "--bogus"], ["describe", "--format", "xml"], ["nope"]):
         with pytest.raises(SystemExit) as exc:

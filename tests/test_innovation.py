@@ -7,7 +7,6 @@ from orthofield.innovation import (
     CapExceededError,
     InnovationLaw,
     enumerate_configs,
-    law_moment,
     sample_region,
     stream_key,
 )
@@ -33,10 +32,10 @@ def test_law_validation():
 
 
 def test_law_moments():
-    assert law_moment(RADEMACHER, 1) == 0.0
-    assert law_moment(RADEMACHER, 2) == 1.0
+    assert RADEMACHER.moment(1) == 0.0
+    assert RADEMACHER.moment(2) == 1.0
     half = InnovationLaw((0.0, 1.0), (0.5, 0.5))
-    assert law_moment(half, 2) == 0.5
+    assert half.moment(2) == 0.5
     assert RADEMACHER.variance == 1.0
 
 

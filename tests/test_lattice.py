@@ -3,7 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from orthofield.lattice import Rectangle, box, leq, prefix_sum, rect_sum, unit
+from orthofield.lattice import Rectangle, SummedAreaTable, box, leq, prefix_sum, unit
+
+
+def rect_sum(table: SummedAreaTable, rect: Rectangle) -> float:
+    """Sum of the source array over ``rect`` by 2^d-term inclusion-exclusion."""
+    if rect.dim != table.dim:
+        raise ValueError(f"dimension mismatch: {rect.dim} vs {table.dim}")
+    if any(l < 1 for l in rect.lo) or any(h > e for h, e in zip(rect.hi, table.extent)):
+        raise ValueError(f"rectangle [{rect.lo}, {rect.hi}] outside [1, {table.extent}]")
+    total = 0.0
+    for mask in itertools.product((0, 1), repeat=rect.dim):
+        corner = tuple(h if bit == 0 else l - 1 for bit, l, h in zip(mask, rect.lo, rect.hi))
+        total += (-1) ** sum(mask) * table.corner(corner)
+    return total
 
 
 def brute_rect_sum(src, lo, hi):

@@ -5,7 +5,6 @@ import pytest
 
 from orthofield.functional import constant, indicator_at, innovation_at, zero
 from orthofield.innovation import InnovationLaw
-from orthofield.lattice import meet
 from orthofield.projection import (
     Corner,
     Halfspace,
@@ -20,6 +19,10 @@ from orthofield.suites import random_functional
 
 LAW = InnovationLaw.rademacher()
 
+
+def meet(i, j):
+    """Coordinatewise minimum (the lattice meet ``i ^ j``)."""
+    return tuple(min(a, b) for a, b in zip(i, j))
 
 def corner_inclusion_exclusion(f, j):
     """Independent d=2 oracle: the four-term corner formula for the full projection."""

@@ -4,15 +4,23 @@ The pinned SHA-256 values are the ``describe`` and ``decompose`` report bytes
 of small configurations on a non-dyadic law, where any reordering of a float
 operation shows up in the last bits.  The property tests rebuild the Hannan
 profile, the kernel sum and the shift the direct way -- one projection per
-candidate, ``out = out + p`` and fresh ``Factor`` objects -- and require the
-package's results to be equal to them, term by term.
+shift of the full product of negated window coordinates, ``out = out + p``
+and fresh ``Factor`` objects -- and compare the package's results with them.
+
+The package projects only the live shifts (``kernel_shift_candidates``).  At
+every other shift the projection is zero as a function, but the full path can
+leave a rounding residue there: the Hannan profile drops it, the kernel sum of
+the full path carries it.  So the Hannan profile equals the full reference,
+the kernel sum equals the reference summed over the live shifts, and every
+pruned shift's full projection is below the Hannan drop threshold.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from orthofield import dependence, projection
@@ -29,7 +37,7 @@ from orthofield.functional import (
     zero,
 )
 from orthofield.innovation import InnovationLaw
-from orthofield.projection import kernel_shift_candidates, kernel_sum, project_full
+from orthofield.projection import Corner, kernel_shift_candidates, kernel_sum, project_full
 
 # A three-atom law whose probabilities and points are not dyadic: sums and
 # products of its moments round, so a changed operation order changes bits.
@@ -172,6 +180,12 @@ def centered_functionals(draw):
 # -- reference -------------------------------------------------------------------
 
 
+def full_candidates(f):
+    """Every shift whose window meets all coordinate hyperplanes through the origin."""
+    axes = [tuple(-c for c in f.axis_coords(axis)) for axis in range(f.dim)]
+    return list(itertools.product(*axes))
+
+
 def reference_shift(f, i):
     """The shift rebuilt from fresh ``Factor`` objects and one merge."""
     return FiniteRangeFunctional(
@@ -184,26 +198,66 @@ def reference_shift(f, i):
     )
 
 
-def reference_projections(f):
+def reference_projections(f, shifts):
     origin = (0,) * f.dim
-    return [(i, project_full(reference_shift(f, i), origin)) for i in kernel_shift_candidates(f)]
+    return [(i, project_full(reference_shift(f, i), origin)) for i in shifts]
 
 
 def reference_hannan(f):
     drop = _TERM_DROP * (1.0 + f.norm())
     out = {}
-    for i, p in reference_projections(f):
+    for i, p in reference_projections(f, full_candidates(f)):
         value = p.norm()
         if value > drop:
             out[i] = value
     return out
 
 
-def reference_kernel_sum(f):
+def reference_kernel_sum(f, shifts):
     out = zero(f.law, f.dim)
-    for _, p in reference_projections(f):
+    for _, p in reference_projections(f, shifts):
         out = out + p
     return out
+
+
+def check_projection_pass(f):
+    live = kernel_shift_candidates(f)
+    full = full_candidates(f)
+    assert live == [i for i in full if i in set(live)]  # a subset, in product order
+    assert list(hannan_profile(f).items()) == list(reference_hannan(f).items())
+    assert kernel_sum(f).terms == reference_kernel_sum(f, live).terms
+    drop = _TERM_DROP * (1.0 + f.norm())
+    pruned = [i for i in full if i not in set(live)]
+    for i, p in reference_projections(f, pruned):
+        assert p.norm() <= drop, i
+
+
+# A non-dyadic law on which the full path leaves a 3.47e-18 constant at the
+# pruned shift (0, 0, 1); added into the kernel sum it moves the last bit of
+# d0's constant term, so the kernel equals the live-shift sum, not the full one.
+RESIDUE_LAW = InnovationLaw((0.0, 0.0546875), (2.0 / 3.0, 1.0 / 3.0))
+RESIDUE_F = FiniteRangeFunctional(
+    RESIDUE_LAW,
+    3,
+    _merge_terms(
+        [
+            (-0.02126736111111111, ()),
+            (1.75, (Factor((0, -1, -1), INDICATOR, 0.0), Factor((0, 0, 0)))),
+        ]
+    ),
+)
+
+
+def test_pruned_shift_residue_is_kept_out_of_the_kernel():
+    f = RESIDUE_F
+    assert kernel_shift_candidates(f) == [(0, 1, 1), (0, 0, 0)]
+    assert full_candidates(f) == [(0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    [(_, residue)] = reference_projections(f, [(0, 0, 1)])
+    assert 0.0 < residue.norm() <= _TERM_DROP * (1.0 + f.norm())
+    full_sum = reference_kernel_sum(f, full_candidates(f))
+    assert kernel_sum(f).terms != full_sum.terms
+    assert kernel_sum(f).deviation(full_sum) <= 1e-17
+    check_projection_pass(f)
 
 
 # -- properties --------------------------------------------------------------------
@@ -211,8 +265,47 @@ def reference_kernel_sum(f):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(f=centered_functionals(), data=st.data())
+@example(f=RESIDUE_F, data=None)
 def test_projection_pass_matches_per_candidate_reference(f, data):
-    assert list(hannan_profile(f).items()) == list(reference_hannan(f).items())
-    assert kernel_sum(f).terms == reference_kernel_sum(f).terms
+    check_projection_pass(f)
+    if data is None:
+        return
     i = tuple(data.draw(st.integers(-3, 3)) for _ in range(f.dim))
     assert f.shift(i).terms == reference_shift(f, i).terms
+
+
+def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
+    doc = {"dimension": 3, "functional": "counterexample:5"}
+    f = resolve_config(doc).functional
+    calls = []
+    corners = []
+
+    def counting_project(g, j):
+        calls.append(j)
+        return project_full(g, j)
+
+    cond_expect = dependence.cond_expect
+
+    def counting_cond(g, cond):
+        if isinstance(cond, Corner):
+            corners.append(cond)
+        return cond_expect(g, cond)
+
+    monkeypatch.setattr(projection, "project_full", counting_project)
+    monkeypatch.setattr(dependence, "cond_expect", counting_cond)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(full_candidates(f)) == 1331
+    assert len(calls) == 11
+    # Every Maxwell-Woodroofe index integrates out the origin read x_k, whose
+    # Rademacher mean is exactly 0.0: no conditional expectation is built.
+    # Without the zero-mean skip each of the 1000 indices would build one.
+    kmax = [max(-s[axis] for s in f.window) for axis in range(f.dim)]
+    indices = [
+        k
+        for k in itertools.product(*(range(1, m + 1) for m in kmax))
+        if any(all(kq <= -sq for kq, sq in zip(k, s)) for s in f.window)
+    ]
+    assert len(indices) == 1000
+    assert corners == []
