@@ -16,6 +16,7 @@ from math import pi, sqrt
 from .dependence import hannan_profile, physical_dependence
 from .functional import Factor, FiniteRangeFunctional, _merge_terms
 from .innovation import InnovationLaw
+from .tolerances import DELTA_BOUND_SLACK
 
 # Exact mode enumerates the 2N+1 window sites; beyond this only closed forms
 # are reported.
@@ -134,7 +135,7 @@ def comparison_report(n_list, law: InnovationLaw | None = None) -> Counterexampl
             delta = physical_dependence(f)
             delta_total = sum(delta.values())
             ok = all(
-                delta.get((i,), 0.0) >= site_delta_lower_bound(i, n_max) - 1e-9
+                delta.get((i,), 0.0) >= site_delta_lower_bound(i, n_max) - DELTA_BOUND_SLACK
                 for i in range(-2 * n_max, 0)
             )
             rows.append(

@@ -14,7 +14,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .functional import Factor, FiniteRangeFunctional
+from .functional import Factor, FiniteRangeFunctional, _merge_terms
 from .lattice import Site
 from .projection import (
     Corner,
@@ -24,12 +24,12 @@ from .projection import (
     kernel_sum,
     origin_projections,
 )
+from .tolerances import CENTER_RTOL, TAIL_SUM_RTOL, TERM_DROP
 
-# Scale-aware centering tolerance.
-_CENTER_RTOL = 1e-12
-
-# Dependence terms below this relative size are treated as the exact zeros they are.
-_TERM_DROP = 1e-14
+# Scale-aware centering tolerance, and the relative size below which a
+# dependence term is treated as the exact zero it is.
+_CENTER_RTOL = CENTER_RTOL
+_TERM_DROP = TERM_DROP
 
 
 def _require_centered(f: FiniteRangeFunctional) -> None:
@@ -107,8 +107,8 @@ def physical_dependence(f: FiniteRangeFunctional) -> dict[Site, float]:
     for site in f.window:
         star = (spare,) + site[1:]
         terms = readers[site]
-        relocated = tuple(
-            (c, tuple(Factor(star, fac.kind, fac.arg) if fac.site == site else fac for fac in fs))
+        relocated = _merge_terms(
+            (c, [Factor(star, fac.kind, fac.arg) if fac.site == site else fac for fac in fs])
             for c, fs in terms
         )
         diff = FiniteRangeFunctional(f.law, f.dim, tuple(terms)) - FiniteRangeFunctional(
@@ -228,4 +228,4 @@ def tail_sum_inequality(a: np.ndarray) -> tuple[float, float, bool]:
         sizes = sizes * g
     lhs = float(np.sum(np.sqrt(tails) / np.sqrt(sizes)))
     rhs = float(np.sum(arr)) / 2**arr.ndim
-    return lhs, rhs, bool(lhs >= rhs * (1.0 - 1e-12))
+    return lhs, rhs, bool(lhs >= rhs * (1.0 - TAIL_SUM_RTOL))

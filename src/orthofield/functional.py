@@ -11,7 +11,6 @@ testing only: syntactically different but equal functionals must compare equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod, sqrt
@@ -26,6 +25,7 @@ from .innovation import (
     check_enum_cap,
 )
 from .lattice import Site
+from .tolerances import DEVIATION_BUDGET, TABLE_TOL
 
 VALUE = "value"
 INDICATOR = "indicator"
@@ -33,13 +33,10 @@ POWER = "power"
 
 _KINDS = (VALUE, INDICATOR, POWER)
 
-# Default tolerance for table comparisons; all exact identities leave orders of
-# magnitude of headroom below it.
-DEFAULT_TOL = 1e-10
-
-# Mass budget that deviation() may attribute to negligible terms without
-# materializing their sites.
-DEFAULT_DEVIATION_BUDGET = 1e-12
+# Default tolerance for table comparisons, and the mass budget that deviation()
+# may attribute to negligible terms without materializing their sites.
+DEFAULT_TOL = TABLE_TOL
+DEFAULT_DEVIATION_BUDGET = DEVIATION_BUDGET
 
 
 @dataclass(frozen=True)
@@ -115,14 +112,28 @@ def _alphabet_vector(law: InnovationLaw, kind: str, arg) -> np.ndarray:
 Term = tuple[float, tuple[Factor, ...]]
 
 
+def _term_key(term: Term):
+    return tuple(f._sort_key() for f in term[1])
+
+
+def _canonical(acc: dict[tuple[Factor, ...], float]) -> tuple[Term, ...]:
+    """The canonicalize step: drop the exact zeros of ``acc`` and sort its terms once.
+
+    ``acc`` maps sorted factor tuples to accumulated coefficients, each sum
+    started from ``0.0``.
+    """
+    merged = [(c, fs) for fs, c in acc.items() if c != 0.0]
+    merged.sort(key=_term_key)
+    return tuple(merged)
+
+
 def _merge_terms(items: Iterable[tuple[float, Iterable[Factor]]]) -> tuple[Term, ...]:
+    """Canonical terms of raw ``(coeff, factors)`` items: sort each factor list, add equal ones."""
     acc: dict[tuple[Factor, ...], float] = {}
     for coeff, factors in items:
         key = tuple(sorted(factors, key=Factor._sort_key))
         acc[key] = acc.get(key, 0.0) + float(coeff)
-    merged = [(c, fs) for fs, c in acc.items() if c != 0.0]
-    merged.sort(key=lambda t: tuple(f._sort_key() for f in t[1]))
-    return tuple(merged)
+    return _canonical(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +142,15 @@ class FiniteRangeFunctional:
 
     Instances are immutable value objects; build them with the module helpers
     (:func:`innovation_at`, :func:`indicator_at`, ...) or combine existing ones
-    with ``+``, ``-``, ``*`` and :meth:`shift`.  Terms are always merged into a
-    canonical order, so construction paths do not leak into results.
+    with ``+``, ``-``, ``*`` and :meth:`shift`.
+
+    ``terms`` is always canonical: each factor tuple is sorted by
+    ``Factor._sort_key``, no two terms have equal factor tuples, no
+    coefficient is zero, and the terms are sorted by their factor keys.  So
+    construction paths do not leak into results.  Raw items become canonical
+    through :func:`_merge_terms`; a subsequence of canonical terms is
+    canonical as it stands.  :meth:`shift`, :meth:`integrate_sites` and
+    :func:`signed_sum` rely on the invariant to skip the per-term sort.
     """
 
     law: InnovationLaw
@@ -161,9 +179,13 @@ class FiniteRangeFunctional:
         """Structurally zero (no terms); table-level zero is tested via deviation."""
         return not self.terms
 
+    @cached_property
+    def _axis_coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted({s[axis] for s in self.window})) for axis in range(self.dim))
+
     def axis_coords(self, axis: int) -> tuple[int, ...]:
-        """Sorted distinct coordinates of the window along one axis."""
-        return tuple(sorted({s[axis] for s in self.window}))
+        """Sorted distinct coordinates of the window along one axis (cached)."""
+        return self._axis_coords[axis]
 
     @cached_property
     def _term_data(self):
@@ -197,9 +219,6 @@ class FiniteRangeFunctional:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _like(self, items) -> "FiniteRangeFunctional":
-        return FiniteRangeFunctional(self.law, self.dim, _merge_terms(items))
-
     def _check_compatible(self, other: "FiniteRangeFunctional") -> None:
         if self.law != other.law:
             raise ValueError("functionals built on different innovation laws")
@@ -207,31 +226,41 @@ class FiniteRangeFunctional:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def shift(self, i: Site) -> "FiniteRangeFunctional":
-        """The shifted functional reading site ``s + i`` wherever this one reads ``s``."""
+        """The shifted functional reading site ``s + i`` wherever this one reads ``s``.
+
+        A relabel, not a merge: translating every site by the same ``i`` keeps
+        the canonical order of the factors and of the terms and keeps distinct
+        terms distinct, so the moved terms are canonical as they stand.
+        """
         i = tuple(int(c) for c in i)
         if len(i) != self.dim:
             raise ValueError(f"shift vector {i} has wrong dimension")
-        return self._like((c, [f._moved(i) for f in fs]) for c, fs in self.terms)
+        moved = tuple((c, tuple(f._moved(i) for f in fs)) for c, fs in self.terms)
+        return FiniteRangeFunctional(self.law, self.dim, moved)
 
     def __add__(self, other: "FiniteRangeFunctional") -> "FiniteRangeFunctional":
-        self._check_compatible(other)
-        return self._like(itertools.chain(self.terms, other.terms))
+        return signed_sum(self.law, self.dim, ((1, self), (1, other)))
 
     def __sub__(self, other: "FiniteRangeFunctional") -> "FiniteRangeFunctional":
-        return self + (-other)
+        return signed_sum(self.law, self.dim, ((1, self), (-1, other)))
 
     def __neg__(self) -> "FiniteRangeFunctional":
-        return self._like((-c, fs) for c, fs in self.terms)
+        # Negation is exact and keeps the order: no merge.
+        return FiniteRangeFunctional(self.law, self.dim, tuple((-c, fs) for c, fs in self.terms))
 
     def __mul__(self, other):
         if isinstance(other, FiniteRangeFunctional):
             self._check_compatible(other)
-            return self._like(
+            terms = _merge_terms(
                 (c1 * c2, fs1 + fs2)
                 for c1, fs1 in self.terms
                 for c2, fs2 in other.terms
             )
-        return self._like((float(other) * c, fs) for c, fs in self.terms)
+        else:
+            # Scaling keeps the order; only products that round to zero drop out.
+            scale = float(other)
+            terms = tuple((scale * c, fs) for c, fs in self.terms if scale * c != 0.0)
+        return FiniteRangeFunctional(self.law, self.dim, terms)
 
     __rmul__ = __mul__
 
@@ -259,7 +288,30 @@ class FiniteRangeFunctional:
         the expectation of their combined factor read.  This is the primitive
         behind all conditional expectations.
         """
-        items = []
+        return FiniteRangeFunctional(self.law, self.dim, _canonical(self._integrated(keep)))
+
+    def integrate_difference(
+        self, keep: Callable[[Site], bool], keep_less: Callable[[Site], bool]
+    ) -> "FiniteRangeFunctional":
+        """``integrate_sites(keep) - integrate_sites(keep_less)``, fused into one merge.
+
+        Both integrations are accumulated; each product then gets
+        ``hi + (-lo)`` and the result is canonicalized once.  Bit for bit the
+        difference of the two canonical functionals: an exact ``0.0`` that
+        canonicalization would drop on either side adds nothing.
+        """
+        acc = self._integrated(keep)
+        for fs, c in self._integrated(keep_less).items():
+            acc[fs] = acc.get(fs, 0.0) - c
+        return FiniteRangeFunctional(self.law, self.dim, _canonical(acc))
+
+    def _integrated(self, keep: Callable[[Site], bool]) -> dict[tuple[Factor, ...], float]:
+        """The accumulate step of :meth:`integrate_sites`: kept factors -> summed coefficient.
+
+        The kept factors of a term stay in their sorted order, so they key the
+        sum without a re-sort.
+        """
+        acc: dict[tuple[Factor, ...], float] = {}
         for (coeff, factors), (_, _, means) in zip(self.terms, self._term_data):
             c = coeff
             kept = []
@@ -271,8 +323,9 @@ class FiniteRangeFunctional:
                     dropped.add(f.site)
             for site in dropped:
                 c *= means[site]
-            items.append((c, kept))
-        return self._like(items)
+            key = tuple(kept)
+            acc[key] = acc.get(key, 0.0) + c
+        return acc
 
     # -- L2 geometry ---------------------------------------------------------------
 
@@ -349,7 +402,7 @@ class FiniteRangeFunctional:
                 big.append((coeff, factors))
         if not big:
             return tiny_mass
-        core = FiniteRangeFunctional(diff.law, diff.dim, _merge_terms(big))
+        core = FiniteRangeFunctional(diff.law, diff.dim, tuple(big))
         sites = core.window
         check_enum_cap(len(sites), diff.law, cap)
         return float(np.max(np.abs(_table_array(core, sites)))) + tiny_mass
@@ -407,6 +460,33 @@ class ValueTable:
 
 
 # -- builders ----------------------------------------------------------------------
+
+
+def signed_sum(
+    law: InnovationLaw, dim: int, pairs: Iterable[tuple[int, FiniteRangeFunctional]]
+) -> FiniteRangeFunctional:
+    """The sum of ``sign * g`` over ``(sign, g)`` pairs (``sign`` is 1 or -1), in one merge.
+
+    Bit for bit the left fold ``out = out + g`` / ``out = out - g`` from
+    :func:`zero`: the terms of each canonical ``g`` have distinct factor
+    tuples, so every product sees the same float additions in the same order;
+    negation is exact; and dropping an exact ``0.0`` and restarting from
+    ``0.0`` gives what keeping it gives, since a sum of nonzero floats is
+    never ``-0.0``.  Only the final sum is canonicalized.
+    """
+    acc: dict[tuple[Factor, ...], float] = {}
+    for sign, g in pairs:
+        if g.law != law:
+            raise ValueError("functionals built on different innovation laws")
+        if g.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {g.dim}")
+        if sign > 0:
+            for c, fs in g.terms:
+                acc[fs] = acc.get(fs, 0.0) + c
+        else:
+            for c, fs in g.terms:
+                acc[fs] = acc.get(fs, 0.0) - c
+    return FiniteRangeFunctional(law, dim, _canonical(acc))
 
 
 def zero(law: InnovationLaw, dim: int) -> FiniteRangeFunctional:

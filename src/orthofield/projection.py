@@ -12,12 +12,14 @@ sentinels (conditioning on everything / on nothing).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .functional import FiniteRangeFunctional, _merge_terms, zero
+from .functional import FiniteRangeFunctional, signed_sum, zero
 from .lattice import Site, leq
+from .tolerances import PROJECTION_DROP
 
 
 class Corner(NamedTuple):
@@ -53,13 +55,15 @@ def project_line(f: FiniteRangeFunctional, axis: int, level: int) -> FiniteRange
     """One-axis projection: conditional expectation at ``level`` minus at ``level - 1``.
 
     Vanishes identically when no window site has the given coordinate, since
-    both conditionings then integrate out the same sites.
+    both conditionings then integrate out the same sites.  The difference is
+    formed in one merge (:meth:`FiniteRangeFunctional.integrate_difference`),
+    bit for bit the difference of the two conditional expectations.
     """
     if not 0 <= axis < f.dim:
         raise ValueError(f"axis {axis} out of range for dimension {f.dim}")
     if level not in f.axis_coords(axis):
         return zero(f.law, f.dim)
-    return cond_expect(f, Halfspace(axis, level)) - cond_expect(f, Halfspace(axis, level - 1))
+    return f.integrate_difference(lambda s: s[axis] <= level, lambda s: s[axis] < level)
 
 
 def project_full(f: FiniteRangeFunctional, j: Site) -> FiniteRangeFunctional:
@@ -79,6 +83,26 @@ def project_full(f: FiniteRangeFunctional, j: Site) -> FiniteRangeFunctional:
     return out
 
 
+def project_each(
+    f: FiniteRangeFunctional, indices: Iterable[Site]
+) -> dict[Site, FiniteRangeFunctional]:
+    """``{j: project_full(f, j)}`` for every index, bit for bit.
+
+    Indices that agree on their first axes share those line projections, so
+    each distinct prefix is projected once.
+    """
+    idx = [tuple(int(c) for c in j) for j in indices]
+    if any(len(j) != f.dim for j in idx):
+        raise ValueError(f"indices {idx} include one of the wrong dimension")
+    partial = {(): f}
+    for axis in range(f.dim):
+        partial = {
+            j[: axis + 1]: project_line(partial[j[:axis]], axis, j[axis])
+            for j in dict.fromkeys(j[: axis + 1] for j in idx)
+        }
+    return {j: partial[j] for j in idx}
+
+
 def projective_decomposition(f: FiniteRangeFunctional) -> dict[Site, FiniteRangeFunctional]:
     """All lattice indices with a nonzero projection of ``f``, with their projections.
 
@@ -88,10 +112,10 @@ def projective_decomposition(f: FiniteRangeFunctional) -> dict[Site, FiniteRange
     """
     if f.is_zero:
         return {}
-    drop = 1e-12 * (1.0 + f.norm())
+    drop = PROJECTION_DROP * (1.0 + f.norm())
     out: dict[Site, FiniteRangeFunctional] = {}
-    for j in itertools.product(*(f.axis_coords(axis) for axis in range(f.dim))):
-        g = project_full(f, j)
+    indices = itertools.product(*(f.axis_coords(axis) for axis in range(f.dim)))
+    for j, g in project_each(f, indices).items():
         if not g.is_zero and g.norm() > drop:
             out[j] = g
     return out
@@ -143,15 +167,13 @@ def kernel_sum(
 
     For finite-range inputs this is the martingale kernel generating the
     approximating orthomartingale.  ``projections`` is
-    :func:`origin_projections` of ``f`` when the caller already has it.  One
-    merge over all projection terms adds the coefficients of each product in
-    candidate order: the same left fold, bit for bit, as adding the
-    projections one at a time.
+    :func:`origin_projections` of ``f`` when the caller already has it.  The
+    projections are added in candidate order by :func:`signed_sum`, in one
+    merge: the same left fold, bit for bit, as adding them one at a time.
     """
     if projections is None:
         projections = origin_projections(f)
-    terms = itertools.chain.from_iterable(p.terms for _, p in projections)
-    return FiniteRangeFunctional(f.law, f.dim, _merge_terms(terms))
+    return signed_sum(f.law, f.dim, ((1, p) for _, p in projections))
 
 
 @dataclass(frozen=True)
@@ -182,23 +204,35 @@ def projection_identity_report(
     index.
     """
     idx = [tuple(int(c) for c in i) for i in indices]
-    proj_f = {i: project_full(f, i) for i in idx}
-    proj_g = {i: project_full(g, i) for i in idx}
+    proj_f = project_each(f, idx)
+    proj_g = project_each(g, idx)
+
+    # A commutator reads only the levels (i[q1], j[q2]): each distinct one is
+    # checked once, and each line projection of ``f`` is built once.
+    line = functools.cache(lambda q, level: project_line(f, q, level))
 
     commutation = 0.0
-    for i, j in itertools.combinations(idx, 2):
-        for q1, q2 in itertools.combinations(range(f.dim), 2):
-            a = project_line(project_line(f, q1, i[q1]), q2, j[q2])
-            b = project_line(project_line(f, q2, j[q2]), q1, i[q1])
-            commutation = max(commutation, a.deviation(b))
+    commutators = {
+        (q1, i[q1], q2, j[q2])
+        for i, j in itertools.combinations(idx, 2)
+        for q1, q2 in itertools.combinations(range(f.dim), 2)
+    }
+    for q1, l1, q2, l2 in sorted(commutators):
+        a = project_line(line(q1, l1), q2, l2)
+        b = project_line(line(q2, l2), q1, l1)
+        commutation = max(commutation, a.deviation(b))
 
     orthogonality = 0.0
-    annihilation = 0.0
     pairs = 0
     for i, j in itertools.permutations(idx, 2):
         pairs += 1
         orthogonality = max(orthogonality, abs(proj_f[i].inner(proj_g[j])))
-        annihilation = max(annihilation, project_full(proj_f[j], i).deviation())
+
+    annihilation = 0.0
+    for j in idx:
+        # P_i P_j f for every i != j; the i that agree on their first axes share a prefix.
+        for p in project_each(proj_f[j], [i for i in idx if i != j]).values():
+            annihilation = max(annihilation, p.deviation())
 
     idempotence = 0.0
     for i in idx:

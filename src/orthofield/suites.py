@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coboundary import RESIDUAL_TOL, center, decompose
+from .coboundary import center, decompose
 from .dependence import martingale_kernel, tail_sum_inequality
 from .functional import (
     Factor,
@@ -19,13 +19,11 @@ from .functional import (
     _merge_terms,
     constant,
     innovation_at,
-    zero,
+    signed_sum,
 )
 from .innovation import InnovationLaw
 from .projection import projection_identity_report, projective_decomposition
-
-# Tolerance of the exact identity suites; the coboundary suite uses decompose's RESIDUAL_TOL.
-IDENTITY_TOL = 1e-10
+from .tolerances import IDENTITY_TOL, RESIDUAL_TOL, TAIL_SUM_TOL
 
 
 def random_functional(
@@ -106,10 +104,9 @@ def completeness_suite(seed: int, count: int = 100, dims=(1, 2, 3)) -> list[Suit
                 rng, law, dim, mt, mf, -2 if dim < 3 else -1, 2 if dim < 3 else 1
             )
             f = g - constant(law, dim, g.expectation())
-            total = zero(law, dim)
-            for piece in projective_decomposition(f).values():
-                total = total + piece
-            worst = max(worst, total.deviation(f))
+            # The pieces minus f, in one merge: bit for bit their sum minus f.
+            pieces = [(1, piece) for piece in projective_decomposition(f).values()]
+            worst = max(worst, signed_sum(law, dim, pieces + [(-1, f)]).deviation())
         checks.append(SuiteCheck("completeness", f"dim {dim}", worst, IDENTITY_TOL))
     return checks
 
@@ -150,9 +147,8 @@ def kernel_suite(seed: int, count: int = 50) -> list[SuiteCheck]:
     for _ in range(count):
         dim = int(rng.integers(1, 4))
         coeffs = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 4)))
-        f = zero(law, dim)
-        for k, c in enumerate(coeffs):
-            f = f + float(c) * innovation_at(law, (-k,) * dim)
+        lags = [(1, float(c) * innovation_at(law, (-k,) * dim)) for k, c in enumerate(coeffs)]
+        f = signed_sum(law, dim, lags)
         kern = martingale_kernel(f)
         worst_mart = max(worst_mart, kern.martingale_violation)
         if any(c > 0 for s in kern.d0.essential_window() for c in s):
@@ -177,7 +173,7 @@ def tail_inequality_suite(seed: int, count: int = 200) -> list[SuiteCheck]:
         a[rng.uniform(size=a.shape) < 0.3] = 0.0
         lhs, rhs, _ = tail_sum_inequality(a)
         worst = max(worst, rhs - lhs)
-    return [SuiteCheck("tail-sum", f"{count} random arrays", max(worst, 0.0), 1e-12)]
+    return [SuiteCheck("tail-sum", f"{count} random arrays", max(worst, 0.0), TAIL_SUM_TOL)]
 
 
 def run_all(seed: int) -> list[SuiteCheck]:

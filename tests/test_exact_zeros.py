@@ -110,8 +110,8 @@ def reference_physical_dependence(f):
         relocated = FiniteRangeFunctional(
             f.law,
             f.dim,
-            tuple(
-                (c, tuple(Factor(star, x.kind, x.arg) if x.site == site else x for x in fs))
+            _merge_terms(
+                (c, [Factor(star, x.kind, x.arg) if x.site == site else x for x in fs])
                 for c, fs in f.terms
             ),
         )

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from orthofield import dependence, projection
+from orthofield import coboundary, dependence, functional, projection
 from orthofield.cli import main, resolve_config
 from orthofield.dependence import _TERM_DROP, hannan_profile
 from orthofield.functional import (
@@ -90,6 +90,19 @@ MIXED_2D = [
     _term(-M1),
 ]
 
+# (x_1,0,-1 - m1)(1{x_-1,1,0 = 0.5} - p) + 0.25 (x_0,-1,1^2 - m2)(x_1,1,-1 - m1),
+# expanded: banded at order 2 with all eight coboundary components nonzero.
+NON_DYADIC_3D = [
+    _term(1.0, _value([1, 0, -1]), _indicator([-1, 1, 0], 0.5)),
+    _term(-P_HALF, _value([1, 0, -1])),
+    _term(-M1, _indicator([-1, 1, 0], 0.5)),
+    _term(M1 * P_HALF),
+    _term(0.25, _power([0, -1, 1], 2), _value([1, 1, -1])),
+    _term(-0.25 * M1, _power([0, -1, 1], 2)),
+    _term(-0.25 * M2, _value([1, 1, -1])),
+    _term(0.25 * M2 * M1),
+]
+
 PINNED_REPORTS = {
     "non_dyadic_1d": (
         {"dimension": 1, "law": NON_DYADIC_LAW, "functional": {"terms": NON_DYADIC_1D}},
@@ -103,6 +116,18 @@ PINNED_REPORTS = {
         {
             "describe": "112fee46d5b90e2c573e8a294c592a81111147f3dadec8e8b4faac92ed2c40f0",
             "decompose": "9ca24fbf3221534eca29531589f71f3428867fa6ddc8f3701ca101201c2ad71a",
+        },
+    ),
+    "non_dyadic_3d": (
+        {
+            "dimension": 3,
+            "law": NON_DYADIC_LAW,
+            "order": 2,
+            "functional": {"terms": NON_DYADIC_3D},
+        },
+        {
+            "describe": "489f505eb1a736624bb26cc6afc27756f3bbe7f1233956d96718081a10c31620",
+            "decompose": "fc6b1a30d4e08b7bafa6183cd847f6de08f90c49ce78714f75445ee36abfd50a",
         },
     ),
 }
@@ -309,3 +334,40 @@ def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
     ]
     assert len(indices) == 1000
     assert corners == []
+
+
+# Canonicalizations in one decompose of mixed_kinds_2d at order 2.  The
+# per-step code made one merge per +, -, negation, shift and conditional
+# expectation: 124 merges (_merge_terms) for the same call.
+DECOMPOSE_CANONICALIZATIONS = 35
+
+
+def test_decompose_canonicalizes_once_per_operator(monkeypatch):
+    doc, _ = PINNED_REPORTS["mixed_kinds_2d"]
+    f = resolve_config(doc).functional
+    calls = []
+    lines = []
+    canonical = functional._canonical
+    line = coboundary.project_line
+
+    def counting_canonical(acc):
+        calls.append(len(acc))
+        return canonical(acc)
+
+    def counting_line(g, axis, level):
+        if level in g.axis_coords(axis):  # otherwise the projection is zero, unmerged
+            lines.append(level)
+        return line(g, axis, level)
+
+    monkeypatch.setattr(functional, "_canonical", counting_canonical)
+    monkeypatch.setattr(coboundary, "project_line", counting_line)
+    # One canonicalization per nonzero line projection plus one for the sum.
+    for op in (coboundary.martingale_op, coboundary.transfer_op):
+        for axis in range(f.dim):
+            calls.clear()
+            lines.clear()
+            op(f, axis)
+            assert len(calls) == len(lines) + 1, (op.__name__, axis)
+    calls.clear()
+    coboundary.decompose(f, 2)
+    assert len(calls) == DECOMPOSE_CANONICALIZATIONS
