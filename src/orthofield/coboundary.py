@@ -13,17 +13,12 @@ fold of its terms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .functional import FiniteRangeFunctional, signed_sum
 from .lattice import unit
 from .projection import Halfspace, cond_expect, kernel_sum, project_line
 from .tolerances import MARTINGALE_TOL, ORDER_CHECK_TOL, RESIDUAL_TOL
-
-# Verified bounds enforced by decompose() and order_violations().
-_CHECK_TOL = ORDER_CHECK_TOL
 
 
 def _keep_all(site) -> bool:
@@ -61,10 +56,10 @@ def order_violations(f: FiniteRangeFunctional, m: int) -> list[tuple[int, str, f
     out = []
     for axis in range(f.dim):
         low = cond_expect(f, Halfspace(axis, -m)).deviation()
-        if low > _CHECK_TOL:
+        if low > ORDER_CHECK_TOL:
             out.append((axis, "conditional expectation below level -m is nonzero", low))
         high = f.integrate_difference(_keep_all, lambda s: s[axis] <= m).deviation()
-        if high > _CHECK_TOL:
+        if high > ORDER_CHECK_TOL:
             out.append((axis, "not measurable at level m", high))
     return out
 
@@ -180,9 +175,7 @@ def decompose(
         }
     components = {mask: prefixes[mask] for mask in range(1 << d)}
 
-    # Subtracting f inside the same merge is bit for bit reconstruct_sum(...) - f.
-    summands = itertools.chain(_reconstruction_terms(components, d), [(-1, f)])
-    residual = signed_sum(f.law, d, summands).deviation()
+    residual = reconstruct_sum(components, d).deviation(f)
     kernel_residual = components[(1 << d) - 1].deviation(kernel_sum(f))
     martingale_violation = 0.0
     for mask, h in components.items():
@@ -230,16 +223,11 @@ def reconstruct_sum(
     if set(components) != set(range(1 << dim)):
         missing = sorted(set(range(1 << dim)) - set(components))
         raise ValueError(f"missing components for masks {missing}")
-    return signed_sum(components[0].law, dim, _reconstruction_terms(components, dim))
-
-
-def _reconstruction_terms(
-    components: dict[int, FiniteRangeFunctional], dim: int
-) -> Iterator[tuple[int, FiniteRangeFunctional]]:
-    """The ``(1, g)`` summands of :func:`reconstruct_sum`, in mask order, one at a time."""
+    summands = []
     for mask in range(1 << dim):
         g = components[mask]
         for axis in range(dim):
             if not mask >> axis & 1:
                 g = g - g.shift(unit(dim, axis))
-        yield 1, g
+        summands.append((1, g))
+    return signed_sum(components[0].law, dim, summands)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 from .dependence import hannan_profile, physical_dependence
-from .functional import Factor, FiniteRangeFunctional, _merge_terms
+from .functional import Factor, FiniteRangeFunctional
 from .innovation import InnovationLaw
 from .tolerances import DELTA_BOUND_SLACK
 
@@ -50,7 +50,7 @@ def pattern_block(n: int, law: InnovationLaw | None = None) -> FiniteRangeFuncti
     factors = [Factor((-2 * n,), "indicator", -1.0), Factor((-2 * n + 1,), "indicator", -1.0)]
     factors += [Factor((k,), "indicator", 1.0) for k in range(-2 * n + 2, 0)]
     factors.append(Factor((0,), "value"))
-    return FiniteRangeFunctional(law, 1, _merge_terms([(1.0, factors)]))
+    return FiniteRangeFunctional.from_items(law, 1, [(1.0, factors)])
 
 
 def block_coefficient(n: int) -> float:
@@ -185,4 +185,4 @@ def embed_diagonal(f: FiniteRangeFunctional, dim: int) -> FiniteRangeFunctional:
         (c, tuple(Factor(fac.site * dim, fac.kind, fac.arg) for fac in factors))
         for c, factors in f.terms
     )
-    return FiniteRangeFunctional(f.law, dim, _merge_terms(terms))
+    return FiniteRangeFunctional.from_items(f.law, dim, terms)

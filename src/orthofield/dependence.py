@@ -14,7 +14,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .functional import Factor, FiniteRangeFunctional, _merge_terms
+from .functional import Factor, FiniteRangeFunctional
 from .lattice import Site
 from .projection import (
     Corner,
@@ -26,14 +26,12 @@ from .projection import (
 )
 from .tolerances import CENTER_RTOL, TAIL_SUM_RTOL, TERM_DROP
 
-# Scale-aware centering tolerance, and the relative size below which a
-# dependence term is treated as the exact zero it is.
-_CENTER_RTOL = CENTER_RTOL
+# The relative size below which a dependence term is treated as the exact zero it is.
 _TERM_DROP = TERM_DROP
 
 
 def _require_centered(f: FiniteRangeFunctional) -> None:
-    if abs(f.expectation()) > _CENTER_RTOL * (1.0 + f.norm()):
+    if abs(f.expectation()) > CENTER_RTOL * (1.0 + f.norm()):
         raise ValueError("functional must be centered")
 
 
@@ -107,13 +105,15 @@ def physical_dependence(f: FiniteRangeFunctional) -> dict[Site, float]:
     for site in f.window:
         star = (spare,) + site[1:]
         terms = readers[site]
-        relocated = _merge_terms(
-            (c, [Factor(star, fac.kind, fac.arg) if fac.site == site else fac for fac in fs])
-            for c, fs in terms
+        relocated = FiniteRangeFunctional.from_items(
+            f.law,
+            f.dim,
+            (
+                (c, [Factor(star, fac.kind, fac.arg) if fac.site == site else fac for fac in fs])
+                for c, fs in terms
+            ),
         )
-        diff = FiniteRangeFunctional(f.law, f.dim, tuple(terms)) - FiniteRangeFunctional(
-            f.law, f.dim, relocated
-        )
+        diff = FiniteRangeFunctional(f.law, f.dim, tuple(terms)) - relocated
         value = diff.norm()
         if value > drop:
             out[site] = value

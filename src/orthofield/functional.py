@@ -147,10 +147,12 @@ class FiniteRangeFunctional:
     ``terms`` is always canonical: each factor tuple is sorted by
     ``Factor._sort_key``, no two terms have equal factor tuples, no
     coefficient is zero, and the terms are sorted by their factor keys.  So
-    construction paths do not leak into results.  Raw items become canonical
-    through :func:`_merge_terms`; a subsequence of canonical terms is
-    canonical as it stands.  :meth:`shift`, :meth:`integrate_sites` and
-    :func:`signed_sum` rely on the invariant to skip the per-term sort.
+    construction paths do not leak into results.  The constructor takes
+    ``terms`` as given and does not check this; build from raw
+    ``(coeff, factors)`` items with :meth:`from_items` (or :func:`from_terms`),
+    which canonicalizes them.  A subsequence of canonical terms is canonical as
+    it stands.  :meth:`shift`, :meth:`integrate_sites`, :func:`signed_sum` and
+    so ``+`` and ``-`` rely on the invariant and do not re-sort.
     """
 
     law: InnovationLaw
@@ -166,6 +168,13 @@ class FiniteRangeFunctional:
                     raise ValueError(
                         f"factor site {f.site} has dimension {len(f.site)}, expected {self.dim}"
                     )
+
+    @classmethod
+    def from_items(
+        cls, law: InnovationLaw, dim: int, items: Iterable[tuple[float, Iterable[Factor]]]
+    ) -> "FiniteRangeFunctional":
+        """The functional ``sum coeff * prod factors`` of raw items, with canonical terms."""
+        return cls(law, dim, _merge_terms(items))
 
     # -- structure -----------------------------------------------------------
 
@@ -494,26 +503,31 @@ def zero(law: InnovationLaw, dim: int) -> FiniteRangeFunctional:
 
 
 def constant(law: InnovationLaw, dim: int, value: float) -> FiniteRangeFunctional:
-    return FiniteRangeFunctional(law, dim, _merge_terms([(float(value), ())]))
+    """The constant ``value``: one product with no factors (none if ``value`` is zero).
+
+    At most one term is canonical as it stands, so no merge is needed.
+    """
+    value = float(value)
+    return FiniteRangeFunctional(law, dim, ((value, ()),) if value != 0.0 else ())
 
 
 def innovation_at(law: InnovationLaw, site) -> FiniteRangeFunctional:
     """The coordinate functional reading the raw innovation at ``site``."""
     site = tuple(int(c) for c in site)
-    return FiniteRangeFunctional(law, len(site), _merge_terms([(1.0, (Factor(site),))]))
+    return FiniteRangeFunctional.from_items(law, len(site), [(1.0, (Factor(site),))])
 
 
 def indicator_at(law: InnovationLaw, site, target: float) -> FiniteRangeFunctional:
     site = tuple(int(c) for c in site)
-    return FiniteRangeFunctional(
-        law, len(site), _merge_terms([(1.0, (Factor(site, INDICATOR, target),))])
+    return FiniteRangeFunctional.from_items(
+        law, len(site), [(1.0, (Factor(site, INDICATOR, target),))]
     )
 
 
 def power_at(law: InnovationLaw, site, exponent: int) -> FiniteRangeFunctional:
     site = tuple(int(c) for c in site)
-    return FiniteRangeFunctional(
-        law, len(site), _merge_terms([(1.0, (Factor(site, POWER, exponent),))])
+    return FiniteRangeFunctional.from_items(
+        law, len(site), [(1.0, (Factor(site, POWER, exponent),))]
     )
 
 
@@ -532,4 +546,4 @@ def from_terms(law: InnovationLaw, dim: int, spec) -> FiniteRangeFunctional:
             for fd in entry.get("factors", [])
         ]
         items.append((float(entry["coeff"]), factors))
-    return FiniteRangeFunctional(law, dim, _merge_terms(items))
+    return FiniteRangeFunctional.from_items(law, dim, items)

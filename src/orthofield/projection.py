@@ -72,28 +72,22 @@ def project_full(f: FiniteRangeFunctional, j: Site) -> FiniteRangeFunctional:
     In dimension two this is the four-term inclusion-exclusion of corner
     conditional expectations.
     """
-    j = tuple(int(c) for c in j)
-    if len(j) != f.dim:
-        raise ValueError(f"index {j} has wrong dimension")
-    out = f
-    for axis in range(f.dim):
-        out = project_line(out, axis, j[axis])
-        if out.is_zero:
-            return out
-    return out
+    return project_each(f, [j])[tuple(int(c) for c in j)]
 
 
 def project_each(
     f: FiniteRangeFunctional, indices: Iterable[Site]
 ) -> dict[Site, FiniteRangeFunctional]:
-    """``{j: project_full(f, j)}`` for every index, bit for bit.
+    """``{j: P_j f}`` for every index: the line projections along each axis in turn.
 
     Indices that agree on their first axes share those line projections, so
-    each distinct prefix is projected once.
+    each distinct prefix is projected once.  A zero prefix stays zero at no
+    cost, since :func:`project_line` returns at once on an empty window.
     """
     idx = [tuple(int(c) for c in j) for j in indices]
-    if any(len(j) != f.dim for j in idx):
-        raise ValueError(f"indices {idx} include one of the wrong dimension")
+    for j in idx:
+        if len(j) != f.dim:
+            raise ValueError(f"index {j} has wrong dimension")
     partial = {(): f}
     for axis in range(f.dim):
         partial = {

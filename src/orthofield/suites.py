@@ -16,7 +16,6 @@ from .dependence import martingale_kernel, tail_sum_inequality
 from .functional import (
     Factor,
     FiniteRangeFunctional,
-    _merge_terms,
     constant,
     innovation_at,
     signed_sum,
@@ -50,7 +49,7 @@ def random_functional(
                 arg = None
             factors.append(Factor(site, kind, arg))
         items.append((float(rng.uniform(-1.0, 1.0)), factors))
-    return FiniteRangeFunctional(law, dim, _merge_terms(items))
+    return FiniteRangeFunctional.from_items(law, dim, items)
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,10 @@ def reference_physical_dependence(f):
     out = {}
     for site in f.window:
         star = (spare,) + site[1:]
-        relocated = FiniteRangeFunctional(
+        relocated = FiniteRangeFunctional.from_items(
             f.law,
             f.dim,
-            _merge_terms(
+            (
                 (c, [Factor(star, x.kind, x.arg) if x.site == site else x for x in fs])
                 for c, fs in f.terms
             ),

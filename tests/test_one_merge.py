@@ -2,9 +2,8 @@
 
 The package canonicalizes each operator's result once: ``shift`` relabels,
 ``project_line`` and ``center`` difference two accumulated integrations,
-``signed_sum`` adds a whole fold in one dict, the coboundary operators project
-each window coordinate once and ``decompose`` builds each shared prefix of
-operators once.  The reference below is the per-step code those replaced:
+``signed_sum`` adds a whole fold in one dict and ``decompose`` builds each
+shared prefix of operators once.  The reference below is the per-step code those replaced:
 every ``+``, ``-``, negation, shift and conditional expectation re-sorts all
 factors and terms.  Every check compares ``terms`` tuples with ``==`` on
 random 2-6-atom non-dyadic laws in d = 1-3.
@@ -14,6 +13,7 @@ import hashlib
 import itertools
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +32,7 @@ from orthofield.functional import (
     Factor,
     FiniteRangeFunctional,
     _merge_terms,
+    constant,
     signed_sum,
     zero,
 )
@@ -282,6 +283,23 @@ def test_signed_sum_is_the_left_fold(data):
 def test_shift_is_a_relabel_of_the_merged_terms(f, data):
     i = tuple(data.draw(st.integers(-3, 3)) for _ in range(f.dim))
     assert f.shift(i).terms == step_shift(f, i).terms
+
+
+@SETTINGS
+@given(f=any_functional(), data=st.data())
+def test_from_items_canonicalizes_raw_items(f, data):
+    """Raw items in any order, with factors reversed and terms split, give canonical terms."""
+    items = [(c, fs[::-1]) for c, fs in f.terms] + [(c / 2, fs) for c, fs in f.terms]
+    items = data.draw(st.permutations(items))
+    raw = FiniteRangeFunctional.from_items(f.law, f.dim, items)
+    assert raw.terms == step_merge(items)
+    assert (raw - f).terms == step_sub(raw, f).terms
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -2.0, 0.1 + 0.2, 1e-300])
+def test_constant_is_its_merged_term(value):
+    law = InnovationLaw.rademacher()
+    assert constant(law, 2, value).terms == step_merge([(value, ())])
 
 
 @SETTINGS

@@ -339,7 +339,7 @@ def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
 # Canonicalizations in one decompose of mixed_kinds_2d at order 2.  The
 # per-step code made one merge per +, -, negation, shift and conditional
 # expectation: 124 merges (_merge_terms) for the same call.
-DECOMPOSE_CANONICALIZATIONS = 35
+DECOMPOSE_CANONICALIZATIONS = 36
 
 
 def test_decompose_canonicalizes_once_per_operator(monkeypatch):

@@ -21,15 +21,7 @@ from hypothesis import strategies as st
 from orthofield import montecarlo
 from orthofield.cli import main
 from orthofield.dependence import martingale_kernel
-from orthofield.functional import (
-    INDICATOR,
-    POWER,
-    VALUE,
-    Factor,
-    FiniteRangeFunctional,
-    _merge_terms,
-    constant,
-)
+from orthofield.functional import INDICATOR, POWER, VALUE, Factor, FiniteRangeFunctional, constant
 from orthofield.innovation import InnovationLaw, sample_region, stream_key
 from orthofield.lattice import Rectangle
 from orthofield.montecarlo import approximation_gap, sample_paths, sample_rect, uniform_grid
@@ -136,7 +128,7 @@ def centered_functionals(draw):
     for _ in range(draw(st.integers(1, 3))):
         coeff = draw(st.sampled_from((-1.5, -1.0, -0.25, 0.5, 1.0, 2.0)))
         terms.append((coeff, tuple(draw(st.lists(factors(law, dim), min_size=1, max_size=2)))))
-    f = FiniteRangeFunctional(law, dim, _merge_terms(terms))
+    f = FiniteRangeFunctional.from_items(law, dim, terms)
     return f - constant(law, dim, f.expectation())
 
 
