@@ -8,8 +8,8 @@ watches the orthomartingale approximation gap shrink with the grid.
 from math import sqrt
 
 from orthofield import (
+    GapStatistic,
     InnovationLaw,
-    approximation_gap,
     cairoli_ratio,
     innovation_at,
     ks_test,
@@ -57,7 +57,9 @@ print(f"maximal moment ratio {check.ratio:.3f} <= bound {check.bound}")
 m = maximal_inequality_check(f, (32, 32), replicates=400, seed=seed)
 print(f"max partial-sum norm {m.lhs:.3f} <= exact bound {m.rhs:.3f}")
 
-## Orthomartingale approximation gap shrinks as the grid grows.
+## Orthomartingale approximation gap shrinks as the grid grows.  Given the
+## kernel, every path sample carries the gap of its own draw, as in verify-clt.
 for n in ((16, 16), (64, 64), (128, 128)):
-    gap = approximation_gap(f, n, replicates=300, seed=seed)
+    coupled = sample_paths(f, n, t_grid, replicates=300, seed=seed, kernel=kernel)
+    gap = GapStatistic.of(n, [p.gap for p in coupled])
     print(f"gap at {n}: median {gap.median:.4f}")

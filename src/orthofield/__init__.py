@@ -47,16 +47,13 @@ from .innovation import (
     enumerate_configs,
     sample_region,
 )
-from .lattice import Rectangle, Site, SummedAreaTable, box, leq, prefix_sum, unit
+from .lattice import Rectangle, Site, box, leq, prefix_sum, unit
 from .montecarlo import (
     GapStatistic,
     PathSample,
-    approximation_gap,
     cairoli_ratio,
     maximal_inequality_check,
     sample_paths,
-    simulate_field,
-    simulate_orthomartingale,
     uniform_grid,
     uniform_integrability_diagnostic,
 )

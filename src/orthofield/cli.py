@@ -4,8 +4,7 @@ Subcommands: ``describe`` (dependence coefficients and the martingale kernel),
 ``decompose`` (verified coboundary components), ``verify-clt`` (seeded Monte
 Carlo checks of the Gaussian limit), ``counterexample`` (dependence-condition
 separation table), and ``selftest`` (the exact-identity suites).  Reports are
-pure functions of (config, seed, version); ``--threads`` only changes wall
-time, never a byte of output.
+pure functions of (config, seed, version).
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 enumeration cap
 or report row cap exceeded, 3 statistical or identity check failed (stderr names
@@ -15,7 +14,6 @@ each failed row).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from math import prod, sqrt
@@ -283,7 +281,7 @@ def _report_failure(section: str, row: str, statistic: str, value: float, bound:
     )
 
 
-def cmd_describe(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
+def cmd_describe(cfg: ExperimentConfig) -> tuple[Report, int]:
     profile = dependence_profile(cfg.functional)
     report = _new_report(cfg, "describe")
 
@@ -310,7 +308,7 @@ def cmd_describe(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
     return report, 0
 
 
-def cmd_decompose(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
+def cmd_decompose(cfg: ExperimentConfig) -> tuple[Report, int]:
     f = cfg.functional
     if cfg.auto_center and not check_order(f, cfg.order):
         f = center(f, cfg.order)
@@ -331,7 +329,7 @@ def cmd_decompose(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]
     return report, 0
 
 
-def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
+def cmd_verify_clt(cfg: ExperimentConfig) -> tuple[Report, int]:
     f = cfg.functional
     if cfg.replicates < 200:
         raise ConfigError("replicates: verify-clt needs at least 200 replicates")
@@ -359,7 +357,7 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
 
     gap_medians = []
     for n in cfg.grids:
-        paths = sample_paths(f, n, t_grid, cfg.replicates, cfg.seed, threads, kernel=kernel)
+        paths = sample_paths(f, n, t_grid, cfg.replicates, cfg.seed, kernel=kernel)
         corner = [p.value_at(one) for p in paths]
 
         ks = ks_test([v / sigma for v in corner], normal_cdf, cfg.ks_level)
@@ -412,7 +410,7 @@ def cmd_verify_clt(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int
     return report, 3 if failed else 0
 
 
-def cmd_counterexample(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report, int]:
+def cmd_counterexample(cfg: ExperimentConfig) -> tuple[Report, int]:
     if not cfg.truncations:
         raise ConfigError("truncations: need at least one truncation depth")
     rep = comparison_report(cfg.truncations)
@@ -455,9 +453,7 @@ def cmd_counterexample(cfg: ExperimentConfig, threads: int = 1) -> tuple[Report,
     return report, 3 if failed else 0
 
 
-def cmd_selftest(
-    cfg: ExperimentConfig, threads: int = 1, tolerance: float | None = None
-) -> tuple[Report, int]:
+def cmd_selftest(cfg: ExperimentConfig, tolerance: float | None = None) -> tuple[Report, int]:
     checks = run_all(cfg.seed)
     report = _new_report(cfg, "selftest")
     if tolerance is not None:
@@ -500,18 +496,6 @@ def _load_raw_config(path: str | None) -> dict:
     return raw
 
 
-def _resolve_threads(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("ORTHOFIELD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"ORTHOFIELD_THREADS is not an integer: {env!r}") from None
-    return 1
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Argument errors exit 1, the code of an invalid configuration (2 means cap exceeded)."""
 
@@ -531,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--replicates", type=int, help="override the config replicate count")
-    parser.add_argument("--threads", type=int, help="worker threads; never changes results")
     parser.add_argument(
         "--truncations", help="comma-separated truncation depths for counterexample"
     )
@@ -554,12 +537,11 @@ def main(argv=None) -> int:
             raw["replicates"] = args.replicates
         if args.truncations is not None:
             raw["truncations"] = [int(v) for v in args.truncations.split(",") if v]
-        threads = _resolve_threads(args.threads)
         cfg = resolve_config(raw)
         if args.command == "selftest":
-            report, code = cmd_selftest(cfg, threads, tolerance=args.tolerance)
+            report, code = cmd_selftest(cfg, tolerance=args.tolerance)
         else:
-            report, code = _COMMANDS[args.command](cfg, threads)
+            report, code = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

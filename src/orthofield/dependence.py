@@ -26,9 +26,6 @@ from .projection import (
 )
 from .tolerances import CENTER_RTOL, TAIL_SUM_RTOL, TERM_DROP
 
-# The relative size below which a dependence term is treated as the exact zero it is.
-_TERM_DROP = TERM_DROP
-
 
 def _require_centered(f: FiniteRangeFunctional) -> None:
     if abs(f.expectation()) > CENTER_RTOL * (1.0 + f.norm()):
@@ -62,7 +59,7 @@ def hannan_profile(
     _require_centered(f)
     if projections is None:
         projections = origin_projections(f)
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     out: dict[Site, float] = {}
     for i, p in projections:
         value = p.norm()
@@ -95,7 +92,7 @@ def physical_dependence(f: FiniteRangeFunctional) -> dict[Site, float]:
     """
     if f.is_zero:
         return {}
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     spare = max(s[0] for s in f.window) + 1
     readers: dict[Site, list] = {}
     for c, fs in f.terms:
@@ -136,7 +133,7 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
     _require_centered(f)
     if f.is_zero:
         return {}
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     window = f.window
     kmax = [max((-s[axis] for s in window), default=0) for axis in range(f.dim)]
     if any(k < 1 for k in kmax):

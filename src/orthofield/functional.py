@@ -33,11 +33,6 @@ POWER = "power"
 
 _KINDS = (VALUE, INDICATOR, POWER)
 
-# Default tolerance for table comparisons, and the mass budget that deviation()
-# may attribute to negligible terms without materializing their sites.
-DEFAULT_TOL = TABLE_TOL
-DEFAULT_DEVIATION_BUDGET = DEVIATION_BUDGET
-
 
 @dataclass(frozen=True)
 class Factor:
@@ -95,16 +90,22 @@ def _site_vector(law: InnovationLaw, reads: tuple) -> np.ndarray:
     return out
 
 
+def apply_read(kind: str, arg, values: np.ndarray) -> np.ndarray:
+    """One elementary read of every innovation value in ``values``.
+
+    A value read returns ``values`` itself; the other kinds return a new array.
+    """
+    if kind == VALUE:
+        return values
+    if kind == INDICATOR:
+        return (values == arg).astype(np.float64)
+    return values**arg
+
+
 @lru_cache(maxsize=1024)
 def _alphabet_vector(law: InnovationLaw, kind: str, arg) -> np.ndarray:
     """One read at every alphabet point, built once per ``(law, kind, arg)``."""
-    base = np.asarray(law.values, dtype=np.float64)
-    if kind == VALUE:
-        out = base
-    elif kind == INDICATOR:
-        out = (base == arg).astype(np.float64)
-    else:
-        out = base**arg
+    out = apply_read(kind, arg, np.asarray(law.values, dtype=np.float64))
     out.setflags(write=False)
     return out
 
@@ -218,8 +219,7 @@ class FiniteRangeFunctional:
     def _term_bounds(self) -> list[float]:
         """Per term: ``|coeff|`` times the product of max absolute vector entries.
 
-        A sup-norm bound on the term; only :meth:`deviation` and
-        :meth:`essential_window` read it.
+        A sup-norm bound on the term; only :meth:`_split_terms` reads it.
         """
         return [
             abs(coeff) * prod(float(np.max(np.abs(v))) for v in vecs.values())
@@ -388,7 +388,7 @@ class FiniteRangeFunctional:
     def deviation(
         self,
         other: "FiniteRangeFunctional | None" = None,
-        budget: float = DEFAULT_DEVIATION_BUDGET,
+        budget: float = DEVIATION_BUDGET,
         cap: int = DEFAULT_ENUM_CAP,
     ) -> float:
         """Upper bound on the max pointwise difference from ``other`` (or from zero).
@@ -401,17 +401,10 @@ class FiniteRangeFunctional:
         diff = self if other is None else self - other
         if diff.is_zero:
             return 0.0
-        threshold = budget / len(diff.terms)
-        big = []
-        tiny_mass = 0.0
-        for (coeff, factors), bound in zip(diff.terms, diff._term_bounds):
-            if bound <= threshold:
-                tiny_mass += bound
-            else:
-                big.append((coeff, factors))
+        big, tiny_mass = diff._split_terms(budget)
         if not big:
             return tiny_mass
-        core = FiniteRangeFunctional(diff.law, diff.dim, tuple(big))
+        core = FiniteRangeFunctional(diff.law, diff.dim, big)
         sites = core.window
         check_enum_cap(len(sites), diff.law, cap)
         return float(np.max(np.abs(_table_array(core, sites)))) + tiny_mass
@@ -419,24 +412,34 @@ class FiniteRangeFunctional:
     def equal(
         self,
         other: "FiniteRangeFunctional",
-        tol: float = DEFAULT_TOL,
+        tol: float = TABLE_TOL,
         cap: int = DEFAULT_ENUM_CAP,
     ) -> bool:
         """Semantic equality: max table deviation at most ``tol``."""
         return self.deviation(other, budget=tol * 1e-3, cap=cap) <= tol
 
-    def essential_window(self, budget: float = DEFAULT_DEVIATION_BUDGET) -> tuple[Site, ...]:
+    def essential_window(self, budget: float = DEVIATION_BUDGET) -> tuple[Site, ...]:
         """Window of the terms that carry more than negligible mass."""
         if self.is_zero:
             return ()
+        big, _ = self._split_terms(budget)
+        return tuple(sorted({f.site for _, factors in big for f in factors}))
+
+    def _split_terms(self, budget: float) -> tuple[tuple[Term, ...], float]:
+        """The terms whose sup-norm bound exceeds ``budget / n_terms``, and the summed rest.
+
+        The bounds of the small terms are added in term order.  Needs at least
+        one term.
+        """
         threshold = budget / len(self.terms)
-        sites = {
-            f.site
-            for (_, factors), bound in zip(self.terms, self._term_bounds)
-            if bound > threshold
-            for f in factors
-        }
-        return tuple(sorted(sites))
+        big = []
+        tiny_mass = 0.0
+        for term, bound in zip(self.terms, self._term_bounds):
+            if bound <= threshold:
+                tiny_mass += bound
+            else:
+                big.append(term)
+        return tuple(big), tiny_mass
 
 
 def _table_array(f: FiniteRangeFunctional, sites: tuple[Site, ...]) -> np.ndarray:

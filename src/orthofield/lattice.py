@@ -1,8 +1,8 @@
 """Integer lattice geometry: sites, rectangles, and d-dimensional prefix sums.
 
 All partial-sum machinery works with dense arrays indexed by rectangles
-``[lo, hi]`` in the coordinatewise order on Z^d.  Prefix tables store the
-running sums ``S_m`` over ``[1, m]`` for every ``m`` up to the extent.
+``[lo, hi]`` in the coordinatewise order on Z^d.  A prefix-sum array holds
+the running sums ``S_m`` over ``[1, m]`` for every ``m`` up to its shape.
 """
 
 from __future__ import annotations
@@ -96,33 +96,8 @@ def box(lo, hi) -> Rectangle:
     return Rectangle(as_site(lo), as_site(hi))
 
 
-@dataclass(frozen=True, eq=False)
-class SummedAreaTable:
-    """Accumulated sums over ``[1, extent]``: entry at ``m`` equals sum over ``[1, m]``."""
-
-    values: np.ndarray
-
-    @property
-    def extent(self) -> Site:
-        return tuple(self.values.shape)
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    def corner(self, m: Site) -> float:
-        """Prefix sum ``S_m``; zero when any coordinate of ``m`` is below 1."""
-        if len(m) != self.dim:
-            raise ValueError(f"dimension mismatch: {len(m)} vs {self.dim}")
-        if any(c < 1 for c in m):
-            return 0.0
-        if any(c > e for c, e in zip(m, self.extent)):
-            raise ValueError(f"index {m} beyond extent {self.extent}")
-        return float(self.values[tuple(c - 1 for c in m)])
-
-
-def prefix_sum(src: np.ndarray) -> SummedAreaTable:
-    """Build the summed-area table of a dense array indexed over ``[1, n]``.
+def prefix_sum(src: np.ndarray) -> np.ndarray:
+    """The running sums of a dense array indexed over ``[1, n]``: entry ``m - 1`` is ``S_m``.
 
     Runs one cumulative sum per axis, so the cost is ``O(d * |n|)`` with
     64-bit float accumulation.
@@ -135,4 +110,4 @@ def prefix_sum(src: np.ndarray) -> SummedAreaTable:
     out = np.cumsum(arr, axis=0)
     for axis in range(1, arr.ndim):
         np.cumsum(out, axis=axis, out=out)
-    return SummedAreaTable(out)
+    return out

@@ -5,7 +5,9 @@ draws its sample once (:func:`_replicate`, the one per-replicate kernel) and
 evaluates the field and its orthomartingale approximation on that sample, so
 pathwise comparisons are genuinely coupled.  Aggregation folds
 replicates in index order, which makes every statistic a pure function of
-``(functional, grid, seed, replicates)`` regardless of worker count.
+``(functional, grid, seed, replicates)``.  Replicates run one after another;
+only :func:`sample_paths` can run several at once, which changes wall time and
+never a result.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from math import floor, prod, sqrt
 import numpy as np
 
 from .dependence import MartingaleKernel, hannan_profile, martingale_kernel
-from .functional import INDICATOR, VALUE, FiniteRangeFunctional
+from .functional import FiniteRangeFunctional, apply_read
 from .innovation import FieldSample, sample_region
-from .lattice import Rectangle, Site, SummedAreaTable, prefix_sum
+from .lattice import Rectangle, Site, prefix_sum
 
 # Declared Monte Carlo slack for population inequalities: 10 percent plus
 # three standard errors of the estimated side.
@@ -30,8 +32,8 @@ MC_SLACK_SE = 3.0
 # Largest sampled region (grid plus window margin on every side), in cells.
 # One replicate's working set peaks near 40 bytes per cell (the innovations,
 # the field values, both prefix sums and one temporary, as measured with
-# tracemalloc at 1024^2), so 2**22 cells hold it near 170 MiB per worker
-# thread.  The README configs sample at most 132^2 cells.
+# tracemalloc at 1024^2), so 2**22 cells hold it near 170 MiB.  The README
+# configs sample at most 132^2 cells.
 MAX_SAMPLE_CELLS = 2**22
 
 # Most path values ``sample_paths`` may hold for one grid: ``replicates``
@@ -76,14 +78,7 @@ def _grid_values(f: FiniteRangeFunctional, sample: FieldSample, n: Site) -> np.n
             sl = tuple(
                 slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(fac.site, lo, shape)
             )
-            vals = sample.values[sl]
-            if fac.kind == VALUE:
-                v = vals
-            elif fac.kind == INDICATOR:
-                v = (vals == fac.arg).astype(np.float64)
-            else:
-                v = vals**fac.arg
-            arr = arr * v
+            arr = arr * apply_read(fac.kind, fac.arg, sample.values[sl])
         out += arr
     return out
 
@@ -95,26 +90,25 @@ def _replicate(
     n: Site,
     seed: int,
     r: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The per-replicate kernel: one innovation draw feeds the field and its orthomartingale.
 
     Samples ``region`` (which is ``sample_rect(f, n)``) once for replicate
-    ``r`` and returns the field values ``x`` on ``[1, n]``, their partial sums
-    ``s`` (``s[m - 1] = S_m``) and, when a kernel ``d0`` is given, the partial
-    sums ``m`` of the orthomartingale on the same sample (``None`` otherwise).
+    ``r`` and returns the partial sums ``s`` of the field on ``[1, n]``
+    (``s[m - 1] = S_m``) and, when a kernel ``d0`` is given, the partial sums
+    ``m`` of the orthomartingale on the same sample (``None`` otherwise).
     """
     sample = sample_region(region, f.law, seed, r)
-    x = _grid_values(f, sample, n)
-    s = prefix_sum(x).values
-    m = None if d0 is None else prefix_sum(_grid_values(d0, sample, n)).values
-    return x, s, m
+    s = prefix_sum(_grid_values(f, sample, n))
+    m = None if d0 is None else prefix_sum(_grid_values(d0, sample, n))
+    return s, m
 
 
-def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int) -> list:
+def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> list:
     """``stat(s, m)`` of the partial sums of every replicate's single draw, in order."""
     region = sample_rect(f, n)
     return _map_replicates(
-        lambda r: stat(*_replicate(f, d0, region, n, seed, r)[1:]), replicates, threads
+        lambda r: stat(*_replicate(f, d0, region, n, seed, r)), replicates, threads
     )
 
 
@@ -122,30 +116,6 @@ def _gap(s: np.ndarray, m: np.ndarray, norm: float) -> float:
     """The normalized approximation gap ``max_m |S_m - M_m| / norm``."""
     d = s - m
     return float(np.abs(d, out=d).max()) / norm
-
-
-def simulate_field(
-    f: FiniteRangeFunctional, n: Site, seed: int, replicate: int = 0
-) -> tuple[SummedAreaTable, np.ndarray]:
-    """One replicate of the stationary field on ``[1, n]``: prefix table and raw values."""
-    n = tuple(int(c) for c in n)
-    x, s, _ = _replicate(f, None, sample_rect(f, n), n, seed, replicate)
-    return SummedAreaTable(s), x
-
-
-def simulate_orthomartingale(
-    f: FiniteRangeFunctional,
-    n: Site,
-    seed: int,
-    replicate: int = 0,
-    kernel: MartingaleKernel | None = None,
-) -> SummedAreaTable:
-    """The approximating orthomartingale on the same innovation sample as the field."""
-    if kernel is None:
-        kernel = martingale_kernel(f)
-    n = tuple(int(c) for c in n)
-    _, _, m = _replicate(f, kernel.d0, sample_rect(f, n), n, seed, replicate)
-    return SummedAreaTable(m)
 
 
 @dataclass(frozen=True)
@@ -175,18 +145,6 @@ class GapStatistic:
         )
 
 
-def approximation_gap(
-    f: FiniteRangeFunctional, n: Site, replicates: int, seed: int, threads: int = 1
-) -> GapStatistic:
-    """Sample ``max_m |S_m - M_m| / |n|^(1/2)`` over coupled replicates."""
-    n = tuple(int(c) for c in n)
-    norm = sqrt(prod(n))
-    d0 = martingale_kernel(f).d0
-    return GapStatistic.of(
-        n, _fold(lambda s, m: _gap(s, m, norm), f, d0, n, replicates, seed, threads)
-    )
-
-
 @dataclass(frozen=True)
 class CairoliCheck:
     """Monte Carlo ratio of the maximal moment to the corner moment of an orthomartingale."""
@@ -209,7 +167,6 @@ def cairoli_ratio(
     replicates: int,
     seed: int,
     p: float = 2.0,
-    threads: int = 1,
 ) -> CairoliCheck:
     """Estimate ``E (max |M_i|)^p / E |M_n|^p`` against the ``(p/(p-1))^(dp)`` bound."""
     n = tuple(int(c) for c in n)
@@ -222,7 +179,7 @@ def cairoli_ratio(
     def stat(s, m) -> tuple[float, float]:
         return float(np.max(np.abs(m)) ** p), float(abs(m[corner]) ** p)
 
-    pairs = _fold(stat, f, kernel.d0, n, replicates, seed, threads)
+    pairs = _fold(stat, f, kernel.d0, n, replicates, seed)
     num = np.asarray([a for a, _ in pairs])
     den = np.asarray([b for _, b in pairs])
     ratio = float(num.mean() / den.mean())
@@ -252,7 +209,6 @@ def uniform_integrability_diagnostic(
     levels,
     replicates: int,
     seed: int,
-    threads: int = 1,
 ) -> list[TruncatedMomentRow]:
     """Truncated second moments of normalized orthomartingale maxima.
 
@@ -270,7 +226,7 @@ def uniform_integrability_diagnostic(
         y = np.asarray(
             _fold(
                 lambda s, m: float(np.max(np.abs(m))) / norm,
-                f, kernel.d0, n, replicates, seed, threads,
+                f, kernel.d0, n, replicates, seed,
             )
         )
         y2 = y**2
@@ -299,13 +255,13 @@ class MaximalInequalityCheck:
 
 
 def maximal_inequality_check(
-    f: FiniteRangeFunctional, n: Site, replicates: int, seed: int, threads: int = 1
+    f: FiniteRangeFunctional, n: Site, replicates: int, seed: int
 ) -> MaximalInequalityCheck:
     """Compare ``|| max_m S_m ||_2`` against ``2^d |n|^(1/2)`` times the Hannan sum."""
     n = tuple(int(c) for c in n)
     rhs = 2 ** len(n) * sqrt(prod(n)) * sum(hannan_profile(f).values())
     v = np.asarray(
-        _fold(lambda s, m: float(np.max(s)) ** 2, f, None, n, replicates, seed, threads)
+        _fold(lambda s, m: float(np.max(s)) ** 2, f, None, n, replicates, seed)
     )
     mean = float(v.mean())
     lhs = sqrt(max(mean, 0.0))
@@ -384,6 +340,8 @@ def sample_paths(
     Given the martingale ``kernel``, every sample also carries the gap
     ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, so one pass over the
     replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
+    ``threads`` replicates run at once; the samples do not depend on it.  The
+    benchmark's traced ``clt_2d`` run times this function at 1 and 2 threads.
     """
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)

@@ -2,7 +2,7 @@
 
 Report bytes are a pure function of (config, seed, version): numbers print
 with 17 significant digits, mappings serialize with sorted keys, CSV uses
-'.' decimals and LF line endings.  Execution details such as thread counts
+'.' decimals and LF line endings.  Execution details such as wall times
 never enter a report.
 
 A section holds either plain rows or a :class:`DenseTable`, the value table

@@ -2,9 +2,8 @@
 
 The exact algebra leaves rounding residues of about ``1e-16`` times the size
 of its inputs; each bound below sits orders of magnitude above that.  The
-modules that apply a bound import it from here, and keep their old names for
-it (``coboundary.RESIDUAL_TOL``, ``suites.IDENTITY_TOL``,
-``dependence._TERM_DROP``, ...).
+modules that apply a bound import it from here under its name in this table;
+code and tests that need a bound import it from here too.
 
 ========================  ======  ==========================================================
 name                      value   bound on

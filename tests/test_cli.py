@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -166,33 +168,6 @@ def test_selftest_reports_are_reproducible(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    doc = {
-        "dimension": 2,
-        "functional": "identity",
-        "grids": [[8, 8]],
-        "replicates": 250,
-        "seed": 5,
-    }
-    cfg = write_config(tmp_path, doc)
-    o1 = tmp_path / "t1"
-    o8 = tmp_path / "t8"
-    assert main(["verify-clt", "--config", cfg, "--out", str(o1), "--threads", "1"]) == 0
-    assert main(["verify-clt", "--config", cfg, "--out", str(o8), "--threads", "8"]) == 0
-    assert (o1 / "report.json").read_bytes() == (o8 / "report.json").read_bytes()
-
-
-def test_env_threads_equivalent_to_flag(tmp_path, monkeypatch):
-    doc = {"dimension": 1, "functional": "identity", "grids": [[1024]], "replicates": 220}
-    cfg = write_config(tmp_path, doc)
-    flag_out = tmp_path / "flag"
-    env_out = tmp_path / "env"
-    assert main(["verify-clt", "--config", cfg, "--out", str(flag_out), "--threads", "4"]) == 0
-    monkeypatch.setenv("ORTHOFIELD_THREADS", "4")
-    assert main(["verify-clt", "--config", cfg, "--out", str(env_out)]) == 0
-    assert (flag_out / "report.json").read_bytes() == (env_out / "report.json").read_bytes()
-
-
 def test_invalid_config_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {"dimension": 9})
     assert main(["describe", "--config", cfg]) == 1
@@ -257,7 +232,7 @@ def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_other_arithmetic_errors_are_not_config_errors(tmp_path, monkeypatch):
-    def broken(cfg, threads=1):
+    def broken(cfg):
         raise ZeroDivisionError("a bug, not a configuration")
 
     monkeypatch.setitem(cli._COMMANDS, "describe", broken)
@@ -426,3 +401,12 @@ def test_resolve_config_defaults():
         resolve_config({"grids": [[0]]})
     with pytest.raises(ConfigError):
         resolve_config({"replicates": 0})
+
+
+def test_readme_usage_lists_every_long_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    usage = re.search(r"```\n(orthofield <command>.*?)```", readme, re.S).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", usage))
+    parser = cli.build_parser()
+    options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+    assert documented == options - {"--help"}

@@ -20,7 +20,6 @@ def test_demo_runs(script, tmp_path):
     src = str(ROOT / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    env.pop("ORTHOFIELD_THREADS", None)
     done = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,

@@ -13,11 +13,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthofield.dependence import (
-    _TERM_DROP,
-    maxwell_woodroofe_profile,
-    physical_dependence,
-)
+from orthofield.dependence import maxwell_woodroofe_profile, physical_dependence
 from orthofield.functional import (
     INDICATOR,
     POWER,
@@ -29,6 +25,7 @@ from orthofield.functional import (
 )
 from orthofield.innovation import InnovationLaw
 from orthofield.projection import Corner, cond_expect
+from orthofield.tolerances import TERM_DROP
 
 # -- strategies ----------------------------------------------------------------
 
@@ -102,7 +99,7 @@ def reference_physical_dependence(f):
     """Relocate the site in every term and take the whole difference."""
     if f.is_zero:
         return {}
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     spare = max(s[0] for s in f.window) + 1
     out = {}
     for site in f.window:
@@ -125,7 +122,7 @@ def reference_maxwell_woodroofe(f):
     """Shift the whole functional and condition it at every admissible index."""
     if f.is_zero:
         return {}
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     window = f.window
     kmax = [max((-s[axis] for s in window), default=0) for axis in range(f.dim)]
     if any(k < 1 for k in kmax):

@@ -3,21 +3,36 @@ import math
 import numpy as np
 import pytest
 
+from orthofield.dependence import martingale_kernel
 from orthofield.functional import innovation_at, zero
 from orthofield.innovation import InnovationLaw, sample_region
+from orthofield.lattice import prefix_sum
 from orthofield.montecarlo import (
-    approximation_gap,
+    GapStatistic,
+    _replicate,
     cairoli_ratio,
     maximal_inequality_check,
     sample_paths,
     sample_rect,
-    simulate_field,
-    simulate_orthomartingale,
     uniform_grid,
     uniform_integrability_diagnostic,
     window_radius,
 )
 LAW = InnovationLaw.rademacher()
+
+
+def sums(f, n, seed, r, coupled=False):
+    """The field's partial sums of replicate ``r`` and, if ``coupled``, its orthomartingale's."""
+    d0 = martingale_kernel(f).d0 if coupled else None
+    return _replicate(f, d0, sample_rect(f, n), n, seed, r)
+
+
+def gap_statistic(f, n, replicates, seed):
+    """The approximation gaps as verify-clt reads them: off the coupled path samples."""
+    paths = sample_paths(
+        f, n, uniform_grid(len(n), 1), replicates, seed, kernel=martingale_kernel(f)
+    )
+    return GapStatistic.of(n, [p.gap for p in paths])
 
 
 def test_window_radius_covers_field_and_kernel():
@@ -28,71 +43,70 @@ def test_window_radius_covers_field_and_kernel():
 
 def test_identity_field_sums_sampled_values():
     f = innovation_at(LAW, (0, 0))
-    s, x = simulate_field(f, (2, 2), seed=5, replicate=0)
+    s, m = sums(f, (2, 2), seed=5, r=0)
     sample = sample_region(sample_rect(f, (2, 2)), LAW, seed=5, replicate=0)
-    assert np.array_equal(x, sample.values)
-    assert s.corner((2, 2)) == pytest.approx(sample.values.sum())
+    assert m is None
+    assert np.array_equal(s, prefix_sum(sample.values))
+    assert s[1, 1] == pytest.approx(sample.values.sum())
 
 
 def test_linear_field_hand_expansion_d1():
     f = innovation_at(LAW, (0,)) + innovation_at(LAW, (-1,))
-    s, x = simulate_field(f, (3,), seed=9, replicate=2)
+    s, _ = sums(f, (3,), seed=9, r=2)
     eps = sample_region(sample_rect(f, (3,)), LAW, seed=9, replicate=2)
     expected = sum(eps.value_at((i,)) + eps.value_at((i - 1,)) for i in range(1, 4))
-    assert s.corner((3,)) == pytest.approx(expected)
+    assert s[2] == pytest.approx(expected)
 
 
 def test_field_mean_within_clt_bound():
     f = innovation_at(LAW, (0,)) + 0.5 * innovation_at(LAW, (-1,))
-    vals = [simulate_field(f, (64,), seed=31, replicate=r)[0].corner((64,)) for r in range(500)]
+    vals = [sums(f, (64,), seed=31, r=r)[0][63] for r in range(500)]
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals)) <= 4 * se
 
 
 def test_orthomartingale_identity_coupling():
     f = innovation_at(LAW, (0, 0))
-    s, _ = simulate_field(f, (8, 8), seed=3, replicate=1)
-    m = simulate_orthomartingale(f, (8, 8), seed=3, replicate=1)
-    assert np.array_equal(s.values, m.values)
+    s, m = sums(f, (8, 8), seed=3, r=1, coupled=True)
+    assert np.array_equal(s, m)
 
 
 def test_orthomartingale_telescope_is_zero():
     f = innovation_at(LAW, (-1,)) - innovation_at(LAW, (0,))
-    m = simulate_orthomartingale(f, (16,), seed=3, replicate=1)
-    assert np.all(m.values == 0.0)
+    s, m = sums(f, (16,), seed=3, r=1, coupled=True)
+    assert np.all(m == 0.0)
     # while the field telescopes to a boundary difference
-    s, _ = simulate_field(f, (16,), seed=3, replicate=1)
     eps = sample_region(sample_rect(f, (16,)), LAW, seed=3, replicate=1)
     for k in (1, 7, 16):
-        assert s.corner((k,)) == pytest.approx(eps.value_at((0,)) - eps.value_at((k,)))
+        assert s[k - 1] == pytest.approx(eps.value_at((0,)) - eps.value_at((k,)))
 
 
 def test_orthomartingale_linear_kernel():
     a = 0.5
     f = innovation_at(LAW, (0,)) + a * innovation_at(LAW, (-1,))
-    m = simulate_orthomartingale(f, (12,), seed=21, replicate=0)
+    _, m = sums(f, (12,), seed=21, r=0, coupled=True)
     eps = sample_region(sample_rect(f, (12,)), LAW, seed=21, replicate=0)
     total = (1 + a) * sum(eps.value_at((i,)) for i in range(1, 13))
-    assert m.corner((12,)) == pytest.approx(total)
+    assert m[11] == pytest.approx(total)
 
 
 def test_gap_zero_for_kernel_generated_field():
     f = innovation_at(LAW, (0, 0))
-    gap = approximation_gap(f, (8, 8), replicates=20, seed=4)
+    gap = gap_statistic(f, (8, 8), replicates=20, seed=4)
     assert gap.max == 0.0
 
 
 def test_gap_telescope_bound():
     f = innovation_at(LAW, (-1,)) - innovation_at(LAW, (0,))
     n = 64
-    gap = approximation_gap(f, (n,), replicates=50, seed=4)
+    gap = gap_statistic(f, (n,), replicates=50, seed=4)
     assert gap.max <= 2.0 / math.sqrt(n) + 1e-12
 
 
 def test_gap_decreases_with_grid():
     f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
-    small = approximation_gap(f, (16, 16), replicates=100, seed=6)
-    large = approximation_gap(f, (96, 96), replicates=100, seed=6)
+    small = gap_statistic(f, (16, 16), replicates=100, seed=6)
+    large = gap_statistic(f, (96, 96), replicates=100, seed=6)
     assert large.median < small.median
 
 
@@ -152,18 +166,21 @@ def test_paths_values_and_grid():
     grid = uniform_grid(2, 2)
     assert grid[0] == (0.0, 0.0) and grid[-1] == (1.0, 1.0) and len(grid) == 9
     paths = sample_paths(f, (8, 8), grid, replicates=3, seed=16)
-    s, _ = simulate_field(f, (8, 8), seed=16, replicate=1)
+    s, _ = sums(f, (8, 8), seed=16, r=1)
     p = paths[1]
-    assert p.value_at((1.0, 1.0)) == pytest.approx(s.corner((8, 8)) / 8.0)
+    assert p.value_at((1.0, 1.0)) == pytest.approx(s[7, 7] / 8.0)
     assert p.value_at((0.0, 0.5)) == 0.0
-    assert p.value_at((0.5, 1.0)) == pytest.approx(s.corner((4, 8)) / 8.0)
+    assert p.value_at((0.5, 1.0)) == pytest.approx(s[3, 7] / 8.0)
 
 
-def test_replicate_determinism_and_thread_equivalence():
+def test_sample_paths_thread_equivalence():
+    # perfbench's traced clt_2d run times sample_paths(threads=1) against
+    # sample_paths(threads=2); the two must sample the same paths and gaps.
     f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
-    g1 = approximation_gap(f, (8, 8), replicates=40, seed=18, threads=1)
-    g8 = approximation_gap(f, (8, 8), replicates=40, seed=18, threads=8)
-    assert g1.samples == g8.samples
-    c1 = cairoli_ratio(f, (8, 8), replicates=40, seed=18, threads=1)
-    c8 = cairoli_ratio(f, (8, 8), replicates=40, seed=18, threads=8)
-    assert (c1.ratio, c1.se_ratio) == (c8.ratio, c8.se_ratio)
+    grid = uniform_grid(2, 2)
+    kernel = martingale_kernel(f)
+    one = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=1, kernel=kernel)
+    two = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=2, kernel=kernel)
+    assert [dict(p.values) for p in one] == [dict(p.values) for p in two]
+    assert [p.gap for p in one] == [p.gap for p in two]
+    assert [p.replicate for p in two] == list(range(40))

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from orthofield import coboundary, dependence, functional, projection
 from orthofield.cli import main, resolve_config
-from orthofield.dependence import _TERM_DROP, hannan_profile
+from orthofield.dependence import hannan_profile
 from orthofield.functional import (
     INDICATOR,
     POWER,
@@ -38,6 +38,7 @@ from orthofield.functional import (
 )
 from orthofield.innovation import InnovationLaw
 from orthofield.projection import Corner, kernel_shift_candidates, kernel_sum, project_full
+from orthofield.tolerances import TERM_DROP
 
 # A three-atom law whose probabilities and points are not dyadic: sums and
 # products of its moments round, so a changed operation order changes bits.
@@ -229,7 +230,7 @@ def reference_projections(f, shifts):
 
 
 def reference_hannan(f):
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     out = {}
     for i, p in reference_projections(f, full_candidates(f)):
         value = p.norm()
@@ -251,7 +252,7 @@ def check_projection_pass(f):
     assert live == [i for i in full if i in set(live)]  # a subset, in product order
     assert list(hannan_profile(f).items()) == list(reference_hannan(f).items())
     assert kernel_sum(f).terms == reference_kernel_sum(f, live).terms
-    drop = _TERM_DROP * (1.0 + f.norm())
+    drop = TERM_DROP * (1.0 + f.norm())
     pruned = [i for i in full if i not in set(live)]
     for i, p in reference_projections(f, pruned):
         assert p.norm() <= drop, i
@@ -278,7 +279,7 @@ def test_pruned_shift_residue_is_kept_out_of_the_kernel():
     assert kernel_shift_candidates(f) == [(0, 1, 1), (0, 0, 0)]
     assert full_candidates(f) == [(0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     [(_, residue)] = reference_projections(f, [(0, 0, 1)])
-    assert 0.0 < residue.norm() <= _TERM_DROP * (1.0 + f.norm())
+    assert 0.0 < residue.norm() <= TERM_DROP * (1.0 + f.norm())
     full_sum = reference_kernel_sum(f, full_candidates(f))
     assert kernel_sum(f).terms != full_sum.terms
     assert kernel_sum(f).deviation(full_sum) <= 1e-17

@@ -24,7 +24,7 @@ from orthofield.dependence import martingale_kernel
 from orthofield.functional import INDICATOR, POWER, VALUE, Factor, FiniteRangeFunctional, constant
 from orthofield.innovation import InnovationLaw, sample_region, stream_key
 from orthofield.lattice import Rectangle
-from orthofield.montecarlo import approximation_gap, sample_paths, sample_rect, uniform_grid
+from orthofield.montecarlo import GapStatistic, sample_paths, sample_rect, uniform_grid
 
 SMALL_GRIDS = [[8, 8], [16, 16]]
 
@@ -194,7 +194,7 @@ def test_paths_and_gaps_match_two_sample_reference(f, data, seed, resolution):
     kernel = martingale_kernel(f)
     paths = sample_paths(f, n, grid, replicates, seed)
     coupled = sample_paths(f, n, grid, replicates, seed, kernel=kernel)
-    gap = approximation_gap(f, n, replicates, seed)
+    gap = GapStatistic.of(n, [p.gap for p in coupled])
     for r in range(replicates):
         s, m = reference_sums(f, kernel.d0, n, seed, r)
         for t in grid:
