@@ -34,13 +34,13 @@ t_grid = ((0.5, 1.0), (1.0, 0.5), (1.0, 1.0))
 paths = sample_paths(f, (64, 64), t_grid, replicates=800, seed=seed)
 
 ## Marginal at t = (1,1) against the standard normal, exact sigma.
-corner = [p.value_at((1.0, 1.0)) / sigma for p in paths]
+corner = paths.at((1.0, 1.0)) / sigma
 ks = ks_test(corner, normal_cdf, level=0.01)
 print(f"KS statistic {ks.statistic:.4f} vs critical {ks.critical_value:.4f}: "
       f"{'pass' if ks.passed else 'fail'}")
 
 ## Empirical variance against sigma^2.
-moments = moment_summary([p.value_at((1.0, 1.0)) for p in paths])
+moments = moment_summary(paths.at((1.0, 1.0)))
 print(f"variance {moments.var:.4f} target {kernel.sigma2} (se {moments.se_var:.4f})")
 
 ## Sheet covariance: target sigma^2 times the product of coordinate minima.
@@ -58,8 +58,8 @@ m = maximal_inequality_check(f, (32, 32), replicates=400, seed=seed)
 print(f"max partial-sum norm {m.lhs:.3f} <= exact bound {m.rhs:.3f}")
 
 ## Orthomartingale approximation gap shrinks as the grid grows.  Given the
-## kernel, every path sample carries the gap of its own draw, as in verify-clt.
+## kernel, the samples carry every replicate's gap of its own draw, as in verify-clt.
 for n in ((16, 16), (64, 64), (128, 128)):
     coupled = sample_paths(f, n, t_grid, replicates=300, seed=seed, kernel=kernel)
-    gap = GapStatistic.of(n, [p.gap for p in coupled])
+    gap = GapStatistic.of(n, coupled.gaps.tolist())
     print(f"gap at {n}: median {gap.median:.4f}")

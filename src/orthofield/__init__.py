@@ -50,7 +50,7 @@ from .innovation import (
 from .lattice import Rectangle, Site, box, leq, prefix_sum, unit
 from .montecarlo import (
     GapStatistic,
-    PathSample,
+    PathSamples,
     cairoli_ratio,
     maximal_inequality_check,
     sample_paths,

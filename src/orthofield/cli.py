@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import sqrt
 
 from . import __version__
 from .coboundary import VerificationError, center, check_order, decompose
@@ -32,14 +32,20 @@ from .innovation import CapExceededError, InnovationLaw
 from .lattice import unit
 from .montecarlo import (
     MAX_PATH_VALUES,
-    MAX_SAMPLE_CELLS,
     GapStatistic,
     sample_paths,
+    sample_rect,
     uniform_grid,
-    window_radius,
 )
 from .report import DenseTable, Report, config_digest, format_value
-from .stats import SE_BOUND, ks_test, moment_summary, normal_cdf, sheet_covariance_check
+from .stats import (
+    KS_COEFFICIENTS,
+    SE_BOUND,
+    ks_test,
+    moment_summary,
+    normal_cdf,
+    sheet_covariance_check,
+)
 from .suites import run_all
 
 DEFAULT_SEED = 20260809
@@ -117,14 +123,11 @@ def _parse(key: str, convert, value):
 
 def _check_sampling_budget(f: FiniteRangeFunctional, grids) -> None:
     """Reject grids whose sampled region (grid plus window margin) exceeds the cell budget."""
-    r = window_radius(f)
     for n in grids:
-        cells = prod(c + 2 * r for c in n)
-        if cells > MAX_SAMPLE_CELLS:
-            raise ConfigError(
-                f"grids: grid {list(n)} samples {cells} cells with its margin {r}, "
-                f"above the budget of {MAX_SAMPLE_CELLS}"
-            )
+        try:
+            sample_rect(f, n)
+        except ValueError as exc:
+            raise ConfigError(f"grids: {exc}") from exc
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -190,8 +193,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     order = _parse("order", int, raw.get("order", 2))
     if order < 1:
         raise ConfigError("order: must be a positive integer")
-    auto_center = bool(raw.get("auto_center", False))
+    auto_center = raw.get("auto_center", False)
+    if not isinstance(auto_center, bool):
+        raise ConfigError(f"auto_center: need true or false, got {auto_center!r}")
     ks_level = _parse("ks_level", float, raw.get("ks_level", 0.01))
+    if ks_level not in KS_COEFFICIENTS:
+        raise ConfigError(f"ks_level: must be one of {sorted(KS_COEFFICIENTS)}, got {ks_level}")
     truncations = _parse(
         "truncations", lambda v: [int(n) for n in v], raw.get("truncations", [2, 3, 4, 5])
     )
@@ -210,12 +217,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         cross = (1.0, 0.5)[: min(dim, 2)] + (1.0,) * max(dim - 2, 0)
         pairs = [(half, cross), ((1.0,) * dim, (1.0,) * dim)]
     else:
-        pairs = []
-        for entry in pairs_doc:
-            s, t = entry
-            pairs.append((tuple(float(c) for c in s), tuple(float(c) for c in t)))
-            if len(pairs[-1][0]) != dim or len(pairs[-1][1]) != dim:
-                raise ConfigError(f"covariance_pairs: wrong dimension in {entry}")
+        pairs = _parse(
+            "covariance_pairs",
+            lambda v: [(tuple(map(float, s)), tuple(map(float, t))) for s, t in v],
+            pairs_doc,
+        )
+        if any(len(time) != dim for pair in pairs for time in pair):
+            raise ConfigError(f"covariance_pairs: need times of dimension {dim}, got {pairs}")
 
     doc = {
         "dimension": dim,
@@ -334,14 +342,16 @@ def cmd_verify_clt(cfg: ExperimentConfig) -> tuple[Report, int]:
     if cfg.replicates < 200:
         raise ConfigError("replicates: verify-clt needs at least 200 replicates")
     _check_sampling_budget(f, cfg.grids)
+    t_grid = uniform_grid(cfg.dimension, cfg.t_resolution)
+    off_grid = [list(t) for pair in cfg.covariance_pairs for t in pair if t not in t_grid]
+    if off_grid:
+        raise ConfigError(f"covariance_pairs: times {off_grid} are not on the t_resolution grid")
     kernel = martingale_kernel(f)
     if kernel.sigma2 <= 0.0:
         raise ConfigError("functional: degenerate limit (sigma2 is zero); use describe")
     sigma = sqrt(kernel.sigma2)
     report = _new_report(cfg, "verify-clt")
     report.meta["sigma2"] = kernel.sigma2
-    t_grid = uniform_grid(cfg.dimension, cfg.t_resolution)
-    one = (1.0,) * cfg.dimension
     failed = False
 
     ks_sec = report.section(
@@ -358,9 +368,9 @@ def cmd_verify_clt(cfg: ExperimentConfig) -> tuple[Report, int]:
     gap_medians = []
     for n in cfg.grids:
         paths = sample_paths(f, n, t_grid, cfg.replicates, cfg.seed, kernel=kernel)
-        corner = [p.value_at(one) for p in paths]
+        corner = paths.at((1.0,) * cfg.dimension)
 
-        ks = ks_test([v / sigma for v in corner], normal_cdf, cfg.ks_level)
+        ks = ks_test(corner / sigma, normal_cdf, cfg.ks_level)
         grid = f"grid {format_value(n)}"
         ks_sec.add(n, ks.statistic, ks.critical_value, ks.level, ks.sample_size, ks.passed)
         if not ks.passed:
@@ -390,7 +400,7 @@ def cmd_verify_clt(cfg: ExperimentConfig) -> tuple[Report, int]:
                     SE_BOUND,
                 )
 
-        gap = GapStatistic.of(n, [p.gap for p in paths])
+        gap = GapStatistic.of(n, paths.gaps.tolist())
         gap_sec.add(n, gap.mean, gap.median, gap.q75, gap.max)
         gap_medians.append(gap.median)
 

@@ -11,6 +11,7 @@ testing only: syntactically different but equal functionals must compare equal.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod, sqrt
@@ -34,39 +35,34 @@ POWER = "power"
 _KINDS = (VALUE, INDICATOR, POWER)
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One elementary read of a single site."""
+class Factor(namedtuple("Factor", "site kind arg")):
+    """One elementary read of a single site, as the tuple ``(site, kind, arg)``.
 
-    site: Site
-    kind: str = VALUE
-    arg: float | int | None = None
+    Tuple order is the canonical factor order; ``arg`` is ``None`` only for value factors.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "site", tuple(int(c) for c in self.site))
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == VALUE and self.arg is not None:
+    __slots__ = ()
+
+    def __new__(cls, site: Site, kind: str = VALUE, arg: float | int | None = None) -> "Factor":
+        site = tuple(int(c) for c in site)
+        if kind not in _KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind == VALUE and arg is not None:
             raise ValueError("value factors take no argument")
-        if self.kind == INDICATOR:
-            if self.arg is None:
+        if kind == INDICATOR:
+            if arg is None:
                 raise ValueError("indicator factors need a target value")
-            object.__setattr__(self, "arg", float(self.arg))
-        if self.kind == POWER:
-            if self.arg is None or int(self.arg) < 0:
+            arg = float(arg)
+        if kind == POWER:
+            if arg is None or int(arg) < 0:
                 raise ValueError("power factors need a nonnegative integer exponent")
-            object.__setattr__(self, "arg", int(self.arg))
-
-    def _sort_key(self):
-        return (self.site, self.kind, float(self.arg) if self.arg is not None else float("-inf"))
+            arg = int(arg)
+        return tuple.__new__(cls, (site, kind, arg))
 
     def _moved(self, i: Site) -> "Factor":
         """The same read at ``site + i``; the fields are already canonical, so no re-validation."""
-        moved = object.__new__(Factor)
-        moved.__dict__.update(
-            site=tuple(a + b for a, b in zip(self.site, i)), kind=self.kind, arg=self.arg
-        )
-        return moved
+        site, kind, arg = self
+        return tuple.__new__(Factor, (tuple(a + b for a, b in zip(site, i)), kind, arg))
 
     def evaluate(self, value: float) -> float:
         if self.kind == VALUE:
@@ -113,26 +109,21 @@ def _alphabet_vector(law: InnovationLaw, kind: str, arg) -> np.ndarray:
 Term = tuple[float, tuple[Factor, ...]]
 
 
-def _term_key(term: Term):
-    return tuple(f._sort_key() for f in term[1])
-
-
 def _canonical(acc: dict[tuple[Factor, ...], float]) -> tuple[Term, ...]:
     """The canonicalize step: drop the exact zeros of ``acc`` and sort its terms once.
 
     ``acc`` maps sorted factor tuples to accumulated coefficients, each sum
-    started from ``0.0``.
+    started from ``0.0``.  Its keys are distinct, so sorting the items orders
+    the terms by their factor tuples alone.
     """
-    merged = [(c, fs) for fs, c in acc.items() if c != 0.0]
-    merged.sort(key=_term_key)
-    return tuple(merged)
+    return tuple((c, fs) for fs, c in sorted(acc.items()) if c != 0.0)
 
 
 def _merge_terms(items: Iterable[tuple[float, Iterable[Factor]]]) -> tuple[Term, ...]:
     """Canonical terms of raw ``(coeff, factors)`` items: sort each factor list, add equal ones."""
     acc: dict[tuple[Factor, ...], float] = {}
     for coeff, factors in items:
-        key = tuple(sorted(factors, key=Factor._sort_key))
+        key = tuple(sorted(factors))
         acc[key] = acc.get(key, 0.0) + float(coeff)
     return _canonical(acc)
 
@@ -145,14 +136,14 @@ class FiniteRangeFunctional:
     (:func:`innovation_at`, :func:`indicator_at`, ...) or combine existing ones
     with ``+``, ``-``, ``*`` and :meth:`shift`.
 
-    ``terms`` is always canonical: each factor tuple is sorted by
-    ``Factor._sort_key``, no two terms have equal factor tuples, no
-    coefficient is zero, and the terms are sorted by their factor keys.  So
-    construction paths do not leak into results.  The constructor takes
-    ``terms`` as given and does not check this; build from raw
-    ``(coeff, factors)`` items with :meth:`from_items` (or :func:`from_terms`),
-    which canonicalizes them.  A subsequence of canonical terms is canonical as
-    it stands.  :meth:`shift`, :meth:`integrate_sites`, :func:`signed_sum` and
+    ``terms`` is always canonical: each factor tuple is sorted in tuple order
+    (site, then kind, then argument; see :class:`Factor`), no two terms have
+    equal factor tuples, no coefficient is zero, and the terms are sorted by
+    their factor tuples.  So construction paths do not leak into results.  The
+    constructor takes ``terms`` as given and does not check this; build from
+    raw ``(coeff, factors)`` items with :meth:`from_items` (or
+    :func:`from_terms`), which canonicalizes them.  A subsequence of canonical
+    terms is canonical as it stands.  :meth:`shift`, :meth:`integrate_sites`, :func:`signed_sum` and
     so ``+`` and ``-`` rely on the invariant and do not re-sort.
     """
 

@@ -15,9 +15,6 @@ import numpy as np
 
 Site = tuple[int, ...]
 
-# Dense tables are capped well below addressable memory; desk-scale grids only.
-MAX_TABLE_ENTRIES = 2**31
-
 
 def as_site(coords) -> Site:
     """Coerce a coordinate sequence to a canonical site tuple."""
@@ -61,8 +58,6 @@ class Rectangle:
         _check_dims(self.lo, self.hi)
         if not leq(self.lo, self.hi):
             raise ValueError(f"empty rectangle: lo={self.lo} hi={self.hi}")
-        if self.cardinality > MAX_TABLE_ENTRIES:
-            raise ValueError(f"rectangle too large: {self.cardinality} points")
 
     @property
     def dim(self) -> int:
@@ -105,8 +100,6 @@ def prefix_sum(src: np.ndarray) -> np.ndarray:
     arr = np.asarray(src, dtype=np.float64)
     if arr.ndim < 1:
         raise ValueError("source array must have at least one axis")
-    if arr.size > MAX_TABLE_ENTRIES:
-        raise ValueError(f"table too large: {arr.size} entries")
     out = np.cumsum(arr, axis=0)
     for axis in range(1, arr.ndim):
         np.cumsum(out, axis=axis, out=out)

@@ -12,7 +12,6 @@ never a result.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor, prod, sqrt
@@ -43,14 +42,6 @@ MAX_SAMPLE_CELLS = 2**22
 MAX_PATH_VALUES = 2**24
 
 
-def _map_replicates(fn, replicates: int, threads: int = 1) -> list:
-    """Run ``fn(0..replicates-1)``, folding results in replicate order."""
-    if threads <= 1:
-        return [fn(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replicates)))
-
-
 def window_radius(f: FiniteRangeFunctional) -> int:
     """Sampling margin that covers the window of ``f`` and of its kernel."""
     r = 0
@@ -62,8 +53,17 @@ def window_radius(f: FiniteRangeFunctional) -> int:
 
 
 def sample_rect(f: FiniteRangeFunctional, n: Site) -> Rectangle:
-    """The region whose innovations determine the field on ``[1, n]``."""
+    """The region whose innovations determine the field on ``[1, n]``.
+
+    Raises ``ValueError``, before anything is sampled, above ``MAX_SAMPLE_CELLS`` cells.
+    """
     r = window_radius(f)
+    cells = prod(c + 2 * r for c in n)
+    if cells > MAX_SAMPLE_CELLS:
+        raise ValueError(
+            f"grid {list(n)} samples {cells} cells with its margin {r}, "
+            f"above the budget of {MAX_SAMPLE_CELLS}"
+        )
     return Rectangle(tuple(1 - r for _ in n), tuple(c + r for c in n))
 
 
@@ -105,11 +105,16 @@ def _replicate(
 
 
 def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> list:
-    """``stat(s, m)`` of the partial sums of every replicate's single draw, in order."""
+    """``stat(s, m)`` of the partial sums of every replicate's single draw, in replicate order."""
     region = sample_rect(f, n)
-    return _map_replicates(
-        lambda r: stat(*_replicate(f, d0, region, n, seed, r)), replicates, threads
-    )
+
+    def one(r: int):
+        return stat(*_replicate(f, d0, region, n, seed, r))
+
+    if threads <= 1:
+        return [one(r) for r in range(replicates)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(replicates)))
 
 
 def _gap(s: np.ndarray, m: np.ndarray, norm: float) -> float:
@@ -273,45 +278,27 @@ def maximal_inequality_check(
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """One replicate of the normalized partial-sum path on a time grid in [0,1]^d.
+class PathSamples:
+    """Every replicate's normalized partial-sum path on one time grid in [0,1]^d.
 
-    ``gap`` is the normalized approximation gap of the same draw, present when
-    the paths were sampled with the martingale kernel.
+    ``values[j, r]`` is replicate ``r``'s path at time ``t_grid[j]``; the array
+    is C-contiguous, so the row :meth:`at` returns is contiguous too.  ``gaps``
+    holds each replicate's normalized approximation gap of the same draw when
+    the paths were sampled with the martingale kernel, and is ``None`` otherwise.
     """
 
     grid_n: Site
     t_grid: tuple[tuple[float, ...], ...]
-    values: Mapping[tuple[float, ...], float]
-    replicate: int
-    seed: int
-    gap: float | None = None
+    values: np.ndarray
+    gaps: np.ndarray | None
 
-    def value_at(self, t) -> float:
-        return self.values[tuple(float(c) for c in t)]
+    @property
+    def replicates(self) -> int:
+        return self.values.shape[1]
 
-
-class _PathRow(Mapping):
-    """One path's values as a read-only time -> value mapping over an array row.
-
-    ``positions`` (time -> column) is shared by every path of a grid, so a path
-    costs one small array instead of a dict of boxed floats.
-    """
-
-    __slots__ = ("_positions", "_row")
-
-    def __init__(self, positions: dict, row: np.ndarray) -> None:
-        self._positions = positions
-        self._row = row
-
-    def __getitem__(self, t) -> float:
-        return float(self._row[self._positions[t]])
-
-    def __iter__(self):
-        return iter(self._positions)
-
-    def __len__(self) -> int:
-        return len(self._positions)
+    def at(self, t) -> np.ndarray:
+        """Every replicate's value at time ``t``, in replicate order."""
+        return self.values[self.t_grid.index(tuple(float(c) for c in t))]
 
 
 def uniform_grid(dim: int, resolution: int) -> tuple[tuple[float, ...], ...]:
@@ -333,12 +320,12 @@ def sample_paths(
     seed: int,
     threads: int = 1,
     kernel: MartingaleKernel | None = None,
-) -> list[PathSample]:
+) -> PathSamples:
     """Normalized path samples ``S_{floor(n t)} / |n|^(1/2)`` at the given times.
 
     A time with any coordinate hitting index zero evaluates to the empty sum.
-    Given the martingale ``kernel``, every sample also carries the gap
-    ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, so one pass over the
+    Given the martingale ``kernel``, the samples also carry every replicate's
+    gap ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, so one pass over the
     replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
     ``threads`` replicates run at once; the samples do not depend on it.  The
     benchmark's traced ``clt_2d`` run times this function at 1 and 2 threads.
@@ -352,15 +339,12 @@ def sample_paths(
     ).reshape(len(grid), len(n))
     live = (k >= 1).all(axis=1)
     flat = np.ravel_multi_index(tuple(np.maximum(k - 1, 0).T), n)
-    positions = {t: j for j, t in enumerate(grid)}
 
-    def stat(s, m) -> tuple[_PathRow, float | None]:
+    def stat(s, m) -> tuple[np.ndarray, float | None]:
         row = np.where(live, s.ravel()[flat], 0.0) / norm
-        return _PathRow(positions, row), None if m is None else _gap(s, m, norm)
+        return row, None if m is None else _gap(s, m, norm)
 
     d0 = None if kernel is None else kernel.d0
-    rows = _fold(stat, f, d0, n, replicates, seed, threads)
-    return [
-        PathSample(grid_n=n, t_grid=grid, values=values, replicate=r, seed=seed, gap=gap)
-        for r, (values, gap) in enumerate(rows)
-    ]
+    rows, gaps = zip(*_fold(stat, f, d0, n, replicates, seed, threads))
+    values = np.ascontiguousarray(np.stack(rows).T)
+    return PathSamples(n, grid, values, None if kernel is None else np.array(gaps))

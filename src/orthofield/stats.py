@@ -107,17 +107,18 @@ def sheet_covariance_check(paths, pairs, sigma2: float) -> list[CovarianceRow]:
 
     The target at times ``(s, t)`` is ``sigma2`` times the product of
     coordinatewise minima; deviations are reported in units of the asymptotic
-    standard error of the sample covariance.
+    standard error of the sample covariance.  ``paths`` is one grid's
+    :class:`~orthofield.montecarlo.PathSamples`.
     """
-    if len(paths) < 200:
-        raise ValueError(f"need at least 200 paths, got {len(paths)}")
+    m = paths.replicates
+    if m < 200:
+        raise ValueError(f"need at least 200 paths, got {m}")
     rows = []
     for s, t in pairs:
         s = tuple(float(c) for c in s)
         t = tuple(float(c) for c in t)
-        x = np.asarray([p.value_at(s) for p in paths])
-        y = np.asarray([p.value_at(t) for p in paths])
-        m = len(paths)
+        x = paths.at(s)
+        y = paths.at(t)
         xc = x - x.mean()
         yc = y - y.mean()
         emp = float(xc @ yc / (m - 1))

@@ -82,7 +82,7 @@ def test_criterion_04_sigma2_formula():
     kernel = martingale_kernel(f)
     assert kernel.sigma2 == pytest.approx(2.25, abs=1e-12)
     paths = sample_paths(f, (128, 128), ((1.0, 1.0),), replicates=2000, seed=SEED)
-    summary = moment_summary([p.value_at((1.0, 1.0)) for p in paths])
+    summary = moment_summary(paths.at((1.0, 1.0)))
     assert abs(summary.var - 2.25) <= 4.0 * summary.se_var
     elapsed = time.perf_counter() - start
     assert elapsed <= 120.0
@@ -90,7 +90,7 @@ def test_criterion_04_sigma2_formula():
 
 
 def test_criterion_05_clt_marginal_ks(sheet_paths):
-    samples = [p.value_at((1.0, 1.0)) for p in sheet_paths]  # sigma = 1 for the identity field
+    samples = sheet_paths.at((1.0, 1.0))  # sigma = 1 for the identity field
     result = ks_test(samples, normal_cdf, level=0.01)
     assert result.critical_value == pytest.approx(1.6276 / math.sqrt(2000), abs=1e-12)
     assert result.passed
@@ -135,7 +135,7 @@ def test_criterion_09_approximation_gap_trend():
 
     def gaps(n):
         paths = sample_paths(f, n, uniform_grid(2, 1), 500, SEED, kernel=kernel)
-        return GapStatistic.of(n, [p.gap for p in paths])
+        return GapStatistic.of(n, paths.gaps.tolist())
 
     small = gaps((16, 16))
     large = gaps((128, 128))

@@ -287,6 +287,28 @@ def test_path_budget_rejects_before_compute(tmp_path, capsys, monkeypatch):
     assert resolve_config({"replicates": MAX_PATH_VALUES // 5}).replicates == MAX_PATH_VALUES // 5
 
 
+def test_unusable_check_settings_reject_before_compute(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    clt = {"dimension": 2, "grids": [[128, 128]], "replicates": 2000}
+    bad = (
+        ("ks_level", {**clt, "ks_level": 0.02}),
+        # the default pairs read t = 0.5, which the grid {0, 1/3, 2/3, 1} lacks
+        ("covariance_pairs", {**clt, "t_resolution": 3}),
+        ("covariance_pairs", {**clt, "covariance_pairs": [[[0.3, 1.0], [1.0, 1.0]]]}),
+    )
+    for k, (key, doc) in enumerate(bad):
+        cfg = write_config(tmp_path, doc, name=f"bad{k}.json")
+        out = tmp_path / f"x{k}"
+        assert main(["verify-clt", "--config", cfg, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    for level in (0.01, 0.05):
+        assert resolve_config({"ks_level": level}).ks_level == level
+
+
 def test_truncation_budget_rejects_before_compute(tmp_path, capsys, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("counterexample started")
@@ -375,6 +397,11 @@ def test_non_numeric_config_values_name_the_field(tmp_path, capsys):
         ("grids", [[1e400]]),
         ("truncations", [2, 1e400]),
         ("ks_level", [0.01]),
+        ("covariance_pairs", [5]),
+        ("covariance_pairs", [[["x"], [1.0]]]),
+        ("covariance_pairs", [[[1.0], [1.0], [1.0]]]),
+        ("auto_center", "false"),
+        ("auto_center", 1),
     )
     for key, value in cases:
         cfg = write_config(tmp_path, {key: value}, name=f"{key}.json")

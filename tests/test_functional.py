@@ -230,6 +230,30 @@ def test_factor_validation():
         Factor((0,), "power", -1)
     with pytest.raises(ValueError):
         Factor((0,), "mystery")
+    with pytest.raises(ValueError):
+        Factor((0,), "value", 1.0)
+    with pytest.raises(ValueError):
+        Factor((0,), "power")
+    with pytest.raises(ValueError):
+        Factor(("a",))
+    with pytest.raises(ValueError):
+        Factor((0,), "indicator", "one")
+    with pytest.raises(TypeError):
+        Factor(0)
+
+
+def test_factor_is_a_coerced_tuple():
+    f = Factor([1.0, -2], kind="indicator", arg=1)
+    assert isinstance(f, tuple) and f == ((1, -2), "indicator", 1.0)
+    assert (f.site, f.kind, f.arg) == tuple(f)
+    assert type(f.arg) is float and all(type(c) is int for c in f.site)
+    p = Factor((0,), "power", 2.0)
+    assert p.arg == 2 and type(p.arg) is int
+    assert Factor((0,)) == ((0,), "value", None)
+    moved = p._moved((3,))
+    assert type(moved) is Factor and moved == ((3,), "power", 2)
+    with pytest.raises(AttributeError):
+        f.site = (0, 0)
 
 
 def test_value_table_comparison_across_windows():

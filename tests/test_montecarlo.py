@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from orthofield import montecarlo
 from orthofield.dependence import martingale_kernel
 from orthofield.functional import innovation_at, zero
 from orthofield.innovation import InnovationLaw, sample_region
 from orthofield.lattice import prefix_sum
 from orthofield.montecarlo import (
+    MAX_SAMPLE_CELLS,
     GapStatistic,
     _replicate,
     cairoli_ratio,
@@ -32,7 +34,7 @@ def gap_statistic(f, n, replicates, seed):
     paths = sample_paths(
         f, n, uniform_grid(len(n), 1), replicates, seed, kernel=martingale_kernel(f)
     )
-    return GapStatistic.of(n, [p.gap for p in paths])
+    return GapStatistic.of(n, paths.gaps.tolist())
 
 
 def test_window_radius_covers_field_and_kernel():
@@ -166,11 +168,29 @@ def test_paths_values_and_grid():
     grid = uniform_grid(2, 2)
     assert grid[0] == (0.0, 0.0) and grid[-1] == (1.0, 1.0) and len(grid) == 9
     paths = sample_paths(f, (8, 8), grid, replicates=3, seed=16)
+    assert paths.grid_n == (8, 8) and paths.t_grid == grid and paths.replicates == 3
+    assert paths.values.shape == (9, 3) and paths.values.dtype == np.float64
+    assert paths.values.flags.c_contiguous and paths.gaps is None
     s, _ = sums(f, (8, 8), seed=16, r=1)
-    p = paths[1]
-    assert p.value_at((1.0, 1.0)) == pytest.approx(s[7, 7] / 8.0)
-    assert p.value_at((0.0, 0.5)) == 0.0
-    assert p.value_at((0.5, 1.0)) == pytest.approx(s[3, 7] / 8.0)
+    assert paths.at((1.0, 1.0))[1] == pytest.approx(s[7, 7] / 8.0)
+    assert paths.at((0.0, 0.5))[1] == 0.0
+    assert paths.at((0.5, 1.0))[1] == pytest.approx(s[3, 7] / 8.0)
+    assert np.array_equal(paths.at([1, 1]), paths.at((1.0, 1.0)))
+    assert paths.at((1.0, 1.0)).flags.c_contiguous
+    with pytest.raises(ValueError):
+        paths.at((0.25, 1.0))
+
+
+def test_oversized_grid_rejected_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(montecarlo, "sample_region", no_sampling)
+    f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
+    side = math.isqrt(MAX_SAMPLE_CELLS) - 2  # 2046 + 2 * margin 1 = 2048 cells a side
+    assert sample_rect(f, (side, side)).cardinality == MAX_SAMPLE_CELLS
+    with pytest.raises(ValueError, match="budget"):
+        sample_paths(f, (side + 1, side), uniform_grid(2, 1), replicates=2, seed=1)
 
 
 def test_sample_paths_thread_equivalence():
@@ -181,6 +201,6 @@ def test_sample_paths_thread_equivalence():
     kernel = martingale_kernel(f)
     one = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=1, kernel=kernel)
     two = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=2, kernel=kernel)
-    assert [dict(p.values) for p in one] == [dict(p.values) for p in two]
-    assert [p.gap for p in one] == [p.gap for p in two]
-    assert [p.replicate for p in two] == list(range(40))
+    assert np.array_equal(one.values, two.values)
+    assert np.array_equal(one.gaps, two.gaps)
+    assert one.gaps.shape == (40,)

@@ -51,14 +51,19 @@ from orthofield.suites import coboundary_suite, completeness_suite, kernel_suite
 # -- the per-step reference ---------------------------------------------------------
 
 
+def factor_key(f):
+    """The explicit factor order: site, then kind, then the argument as a float (-inf for none)."""
+    return (f.site, f.kind, float(f.arg) if f.arg is not None else float("-inf"))
+
+
 def step_merge(items):
     """Sort every factor list, add equal products from 0.0, drop exact zeros, sort the terms."""
     acc = {}
     for coeff, factors in items:
-        key = tuple(sorted(factors, key=Factor._sort_key))
+        key = tuple(sorted(factors, key=factor_key))
         acc[key] = acc.get(key, 0.0) + float(coeff)
     merged = [(c, fs) for fs, c in acc.items() if c != 0.0]
-    merged.sort(key=lambda t: tuple(f._sort_key() for f in t[1]))
+    merged.sort(key=lambda t: tuple(factor_key(f) for f in t[1]))
     return tuple(merged)
 
 
@@ -258,6 +263,34 @@ SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[Healt
 
 
 # -- properties --------------------------------------------------------------------
+
+
+@st.composite
+def any_factor(draw):
+    """A factor in d = 1-2 on a small window, with signed-zero targets and powers 0-3."""
+    site = tuple(draw(st.integers(-1, 1)) for _ in range(draw(st.integers(1, 2))))
+    kind = draw(st.sampled_from((VALUE, INDICATOR, POWER)))
+    if kind == VALUE:
+        return Factor(site)
+    if kind == INDICATOR:
+        return Factor(site, INDICATOR, draw(st.sampled_from((-0.0, 0.0, -1.5, 0.5, 2.0))))
+    return Factor(site, POWER, draw(st.integers(0, 3)))
+
+
+@SETTINGS
+@given(fs=st.lists(any_factor(), min_size=0, max_size=8).flatmap(
+    lambda fs: st.permutations(fs + fs[: len(fs) // 2])
+))
+def test_factor_tuple_order_is_the_explicit_key_order(fs):
+    # Factors are tuples, so plain comparison must order them exactly as factor_key
+    # does, ties (repeats, and the targets -0.0 and 0.0) included.
+    assert all(isinstance(f, tuple) for f in fs)
+    for a in fs:
+        for b in fs:
+            assert (a < b) == (factor_key(a) < factor_key(b))
+            assert (a == b) == (factor_key(a) == factor_key(b))
+    assert sorted(fs) == sorted(fs, key=factor_key)
+    assert [factor_key(f) for f in sorted(fs)] == sorted(map(factor_key, fs))
 
 
 @SETTINGS

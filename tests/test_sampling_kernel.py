@@ -194,15 +194,15 @@ def test_paths_and_gaps_match_two_sample_reference(f, data, seed, resolution):
     kernel = martingale_kernel(f)
     paths = sample_paths(f, n, grid, replicates, seed)
     coupled = sample_paths(f, n, grid, replicates, seed, kernel=kernel)
-    gap = GapStatistic.of(n, [p.gap for p in coupled])
+    gap = GapStatistic.of(n, coupled.gaps.tolist())
     for r in range(replicates):
         s, m = reference_sums(f, kernel.d0, n, seed, r)
         for t in grid:
             k = tuple(floor(nq * tq) for nq, tq in zip(n, t))
             expected = 0.0 if min(k) < 1 else float(s[tuple(c - 1 for c in k)])
-            assert paths[r].value_at(t) == expected / norm
-            assert coupled[r].value_at(t) == expected / norm
+            assert paths.at(t)[r] == expected / norm
+            assert coupled.at(t)[r] == expected / norm
         expected_gap = float(np.max(np.abs(s - m))) / norm
         assert gap.samples[r] == expected_gap
-        assert coupled[r].gap == expected_gap
-        assert paths[r].gap is None
+        assert coupled.gaps[r] == expected_gap
+    assert paths.gaps is None

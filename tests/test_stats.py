@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orthofield.montecarlo import PathSample
+from orthofield.montecarlo import PathSamples
 from orthofield.stats import (
     ks_test,
     moment_summary,
@@ -73,19 +73,10 @@ def test_ks_input_validation():
         ks_test([0.1] * 500, normal_cdf, level=0.2)
 
 
-def make_paths(values_by_t, seed=0):
-    n = len(next(iter(values_by_t.values())))
+def make_paths(values_by_t):
     grid = tuple(values_by_t)
-    return [
-        PathSample(
-            grid_n=(4, 4),
-            t_grid=grid,
-            values={t: values_by_t[t][r] for t in grid},
-            replicate=r,
-            seed=seed,
-        )
-        for r in range(n)
-    ]
+    values = np.array([values_by_t[t] for t in grid], dtype=np.float64)
+    return PathSamples(grid_n=(4, 4), t_grid=grid, values=values, gaps=None)
 
 
 def test_sheet_covariance_targets_and_symmetry():
