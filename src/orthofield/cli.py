@@ -121,6 +121,13 @@ def _parse(key: str, convert, value):
         raise ConfigError(f"{key}: cannot read {value!r}: {exc}") from exc
 
 
+def _array(value):
+    """``value`` itself if it is a JSON array; a string is not read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"need a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _check_sampling_budget(f: FiniteRangeFunctional, grids) -> None:
     """Reject grids whose sampled region (grid plus window margin) exceeds the cell budget."""
     for n in grids:
@@ -142,7 +149,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     law_doc = raw.get("law", {"values": [-1.0, 1.0], "probs": [0.5, 0.5]})
     try:
-        law = InnovationLaw(tuple(law_doc["values"]), tuple(law_doc["probs"]))
+        law = InnovationLaw(tuple(_array(law_doc["values"])), tuple(_array(law_doc["probs"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"law: {exc}") from exc
 
@@ -161,7 +168,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"functional: {exc}") from exc
 
-    grids_doc = raw.get("grids", [[64] * dim])
+    grids_doc = _parse("grids", _array, raw.get("grids", [[64] * dim]))
     grids = []
     for g in grids_doc:
         n = _parse(
@@ -200,7 +207,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if ks_level not in KS_COEFFICIENTS:
         raise ConfigError(f"ks_level: must be one of {sorted(KS_COEFFICIENTS)}, got {ks_level}")
     truncations = _parse(
-        "truncations", lambda v: [int(n) for n in v], raw.get("truncations", [2, 3, 4, 5])
+        "truncations", lambda v: [int(n) for n in _array(v)], raw.get("truncations", [2, 3, 4, 5])
     )
     if any(n < 1 for n in truncations):
         raise ConfigError(f"truncations: depths must be at least 1, got {truncations}")
@@ -219,7 +226,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     else:
         pairs = _parse(
             "covariance_pairs",
-            lambda v: [(tuple(map(float, s)), tuple(map(float, t))) for s, t in v],
+            lambda v: [
+                (tuple(map(float, _array(s))), tuple(map(float, _array(t)))) for s, t in _array(v)
+            ],
             pairs_doc,
         )
         if any(len(time) != dim for pair in pairs for time in pair):

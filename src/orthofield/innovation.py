@@ -10,7 +10,9 @@ reproducible and independent of scheduling.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -162,15 +164,55 @@ class FieldSample:
         return float(self.values[self.region.index_of(site)])
 
 
+@lru_cache(maxsize=256)
+def _inverse_cdf_table(law: InnovationLaw) -> tuple[tuple[float, ...], np.ndarray]:
+    """The bin edges (cumulative probabilities but the last) and the value array, built once per law."""
+    values = np.asarray(law.values, dtype=np.float64)
+    values.setflags(write=False)
+    return tuple(np.cumsum(law.probs[:-1]).tolist()), values
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_local = threading.local()
+
+
+def _stream(key: tuple[int, int]) -> np.random.Generator:
+    """This thread's generator, set to the fresh state of ``Philox(key=key)``.
+
+    The state is the one a new ``Philox`` with this key starts from: counter,
+    buffer and cached 32-bit word at zero, buffer empty.
+    """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": np.array(key, dtype=np.uint64)},
+        "buffer": _ZEROS4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def sample_region(
     region: Rectangle, law: InnovationLaw, seed: int, replicate: int = 0
 ) -> FieldSample:
-    """Sample the innovation field on ``region`` from a derived Philox stream."""
-    key = stream_key(seed, replicate, region)
-    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
-    u = rng.random(region.shape)
+    """Sample the innovation field on ``region`` from a derived Philox stream.
+
+    The draw starts from the fresh ``(key, counter 0)`` state of the stream on
+    this thread's generator, so it equals a draw from a new
+    ``Philox(key=stream_key(seed, replicate, region))`` and concurrent
+    replicates share no state.
+    """
+    u = _stream(stream_key(seed, replicate, region)).random(region.shape)
+    edges, table = _inverse_cdf_table(law)
     # Inverse CDF: the alphabet index is the number of cumulative bin edges <= u.
     # The last edge (1 up to rounding) is never counted, since u < 1.
-    idx = sum(u >= c for c in np.cumsum(law.probs[:-1]))
-    values = np.asarray(law.values, dtype=np.float64)[idx]
+    if len(edges) == 1:
+        idx = (u >= edges[0]).view(np.uint8)
+    else:
+        idx = sum(u >= c for c in edges)
+    values = table.take(idx)
     return FieldSample(region=region, values=values, seed=seed, replicate=replicate)

@@ -3,7 +3,10 @@
 Every replicate derives its own innovation stream from ``(seed, replicate)``,
 draws its sample once (:func:`_replicate`, the one per-replicate kernel) and
 evaluates the field and its orthomartingale approximation on that sample, so
-pathwise comparisons are genuinely coupled.  Aggregation folds
+pathwise comparisons are genuinely coupled.  What does not change within a
+grid is built once per grid: :func:`_fold` turns each functional into a read
+plan (the array slice every factor reads), so a replicate costs the draw, the
+reads and the prefix sums.  Aggregation folds
 replicates in index order, which makes every statistic a pure function of
 ``(functional, grid, seed, replicates)``.  Replicates run one after another;
 only :func:`sample_paths` can run several at once, which changes wall time and
@@ -20,7 +23,7 @@ import numpy as np
 
 from .dependence import MartingaleKernel, hannan_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, apply_read
-from .innovation import FieldSample, sample_region
+from .innovation import InnovationLaw, sample_region
 from .lattice import Rectangle, Site, prefix_sum
 
 # Declared Monte Carlo slack for population inequalities: 10 percent plus
@@ -29,10 +32,11 @@ MC_SLACK_FACTOR = 1.10
 MC_SLACK_SE = 3.0
 
 # Largest sampled region (grid plus window margin on every side), in cells.
-# One replicate's working set peaks near 40 bytes per cell (the innovations,
-# the field values, both prefix sums and one temporary, as measured with
-# tracemalloc at 1024^2), so 2**22 cells hold it near 170 MiB.  The README
-# configs sample at most 132^2 cells.
+# One replicate's working set peaks at 32 bytes per cell when every factor is
+# a value read (the innovations, the field's prefix sum, the kernel's values
+# and one term buffer) and near 41 with an indicator read, which adds its
+# float copy (tracemalloc at 1024^2), so 2**22 cells hold it in at most about
+# 165 MiB.  The README configs sample at most 132^2 cells.
 MAX_SAMPLE_CELLS = 2**22
 
 # Most path values ``sample_paths`` may hold for one grid: ``replicates``
@@ -67,25 +71,53 @@ def sample_rect(f: FiniteRangeFunctional, n: Site) -> Rectangle:
     return Rectangle(tuple(1 - r for _ in n), tuple(c + r for c in n))
 
 
-def _grid_values(f: FiniteRangeFunctional, sample: FieldSample, n: Site) -> np.ndarray:
-    """Evaluate the shifted functional at every grid point of ``[1, n]``."""
-    shape = tuple(int(c) for c in n)
-    lo = sample.region.lo
-    out = np.zeros(shape, dtype=np.float64)
-    for coeff, factors in f.terms:
-        arr = coeff
-        for fac in factors:
-            sl = tuple(
-                slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(fac.site, lo, shape)
-            )
-            arr = arr * apply_read(fac.kind, fac.arg, sample.values[sl])
-        out += arr
+def _read_plan(f: FiniteRangeFunctional, region: Rectangle, n: Site) -> tuple:
+    """Where every factor of ``f`` reads a sample of ``region`` for the grid points of ``[1, n]``.
+
+    One ``(coeff, ((slices, kind, arg), ...))`` per term, in term and factor
+    order: ``values[slices]`` holds the factor's site at every grid point.
+    """
+    lo = region.lo
+    return tuple(
+        (
+            coeff,
+            tuple(
+                (
+                    tuple(slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(fac.site, lo, n)),
+                    fac.kind,
+                    fac.arg,
+                )
+                for fac in factors
+            ),
+        )
+        for coeff, factors in f.terms
+    )
+
+
+def _grid_values(plan: tuple, values: np.ndarray, n: Site) -> np.ndarray:
+    """Evaluate the shifted functional of ``plan`` at every grid point of ``[1, n]``.
+
+    Each term is ``coeff`` times its first read, then times each later read in
+    place, added to a zero array in term order.
+    """
+    out = np.zeros(n)
+    term = np.empty(n)
+    for coeff, reads in plan:
+        if not reads:
+            out += coeff
+            continue
+        (sl, kind, arg), *rest = reads
+        np.multiply(coeff, apply_read(kind, arg, values[sl]), out=term)
+        for sl, kind, arg in rest:
+            term *= apply_read(kind, arg, values[sl])
+        out += term
     return out
 
 
 def _replicate(
-    f: FiniteRangeFunctional,
-    d0: FiniteRangeFunctional | None,
+    f_plan: tuple,
+    d0_plan: tuple | None,
+    law: InnovationLaw,
     region: Rectangle,
     n: Site,
     seed: int,
@@ -95,21 +127,24 @@ def _replicate(
 
     Samples ``region`` (which is ``sample_rect(f, n)``) once for replicate
     ``r`` and returns the partial sums ``s`` of the field on ``[1, n]``
-    (``s[m - 1] = S_m``) and, when a kernel ``d0`` is given, the partial sums
-    ``m`` of the orthomartingale on the same sample (``None`` otherwise).
+    (``s[m - 1] = S_m``) and, when the kernel's plan ``d0_plan`` is given, the
+    partial sums ``m`` of the orthomartingale on the same sample (``None``
+    otherwise).  The plans are :func:`_read_plan` of ``f`` and ``d0`` on ``region``.
     """
-    sample = sample_region(region, f.law, seed, r)
-    s = prefix_sum(_grid_values(f, sample, n))
-    m = None if d0 is None else prefix_sum(_grid_values(d0, sample, n))
+    values = sample_region(region, law, seed, r).values
+    s = prefix_sum(_grid_values(f_plan, values, n))
+    m = None if d0_plan is None else prefix_sum(_grid_values(d0_plan, values, n))
     return s, m
 
 
 def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> list:
     """``stat(s, m)`` of the partial sums of every replicate's single draw, in replicate order."""
     region = sample_rect(f, n)
+    f_plan = _read_plan(f, region, n)
+    d0_plan = None if d0 is None else _read_plan(d0, region, n)
 
     def one(r: int):
-        return stat(*_replicate(f, d0, region, n, seed, r))
+        return stat(*_replicate(f_plan, d0_plan, f.law, region, n, seed, r))
 
     if threads <= 1:
         return [one(r) for r in range(replicates)]
@@ -118,9 +153,9 @@ def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) ->
 
 
 def _gap(s: np.ndarray, m: np.ndarray, norm: float) -> float:
-    """The normalized approximation gap ``max_m |S_m - M_m| / norm``."""
-    d = s - m
-    return float(np.abs(d, out=d).max()) / norm
+    """The normalized approximation gap ``max_m |S_m - M_m| / norm``; overwrites ``m``."""
+    np.subtract(s, m, out=m)
+    return float(np.abs(m, out=m).max()) / norm
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,10 @@ class TestResult:
 def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     """One-sample Kolmogorov-Smirnov test against a continuous CDF.
 
-    The statistic is the sup distance between the empirical CDF and ``cdf``
-    evaluated at the sorted sample; the critical value is the asymptotic
-    Kolmogorov quantile divided by sqrt(m).
+    ``cdf`` maps an array elementwise (as :func:`normal_cdf` does) and is
+    called once, on the sorted sample.  The statistic is the sup distance
+    between the empirical CDF and ``cdf`` at the sorted sample; the critical
+    value is the asymptotic Kolmogorov quantile divided by sqrt(m).
     """
     if level not in KS_COEFFICIENTS:
         raise ValueError(f"level must be one of {sorted(KS_COEFFICIENTS)}")
@@ -67,7 +68,7 @@ def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     m = data.size
     if m < MIN_KS_SAMPLES:
         raise ValueError(f"need at least {MIN_KS_SAMPLES} samples, got {m}")
-    f_vals = np.asarray([cdf(v) for v in data], dtype=np.float64)
+    f_vals = np.asarray(cdf(data), dtype=np.float64)
     grid = np.arange(1, m + 1, dtype=np.float64) / m
     d_plus = float(np.max(grid - f_vals))
     d_minus = float(np.max(f_vals - (grid - 1.0 / m)))

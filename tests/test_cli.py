@@ -409,6 +409,29 @@ def test_non_numeric_config_values_name_the_field(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_json_strings_are_not_arrays(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    monkeypatch.setattr(cli, "comparison_report", no_compute)
+    clt = {"dimension": 2, "grids": [[16, 16]], "replicates": 200}
+    cases = (
+        # each string used to read as the list of its characters
+        ("truncations", "counterexample", {"truncations": "123"}),
+        ("law", "verify-clt", {**clt, "law": {"values": "12", "probs": [0.5, 0.5]}}),
+        ("law", "verify-clt", {**clt, "law": {"values": [1.0, 2.0], "probs": "11"}}),
+        ("grids", "verify-clt", {"dimension": 1, "grids": "6", "replicates": 200}),
+        ("covariance_pairs", "verify-clt", {**clt, "covariance_pairs": [["05", "11"]]}),
+    )
+    for k, (key, command, doc) in enumerate(cases):
+        cfg = write_config(tmp_path, doc, name=f"bad{k}.json")
+        out = tmp_path / f"x{k}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_seed_and_replicates_overrides(tmp_path):
     doc = {"dimension": 1, "functional": "identity", "grids": [[1024]], "replicates": 500, "seed": 1}
     cfg = write_config(tmp_path, doc)

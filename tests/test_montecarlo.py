@@ -11,6 +11,7 @@ from orthofield.lattice import prefix_sum
 from orthofield.montecarlo import (
     MAX_SAMPLE_CELLS,
     GapStatistic,
+    _read_plan,
     _replicate,
     cairoli_ratio,
     maximal_inequality_check,
@@ -25,8 +26,9 @@ LAW = InnovationLaw.rademacher()
 
 def sums(f, n, seed, r, coupled=False):
     """The field's partial sums of replicate ``r`` and, if ``coupled``, its orthomartingale's."""
-    d0 = martingale_kernel(f).d0 if coupled else None
-    return _replicate(f, d0, sample_rect(f, n), n, seed, r)
+    region = sample_rect(f, n)
+    d0_plan = _read_plan(martingale_kernel(f).d0, region, n) if coupled else None
+    return _replicate(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, r)
 
 
 def gap_statistic(f, n, replicates, seed):

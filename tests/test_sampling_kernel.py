@@ -22,7 +22,7 @@ from orthofield import montecarlo
 from orthofield.cli import main
 from orthofield.dependence import martingale_kernel
 from orthofield.functional import INDICATOR, POWER, VALUE, Factor, FiniteRangeFunctional, constant
-from orthofield.innovation import InnovationLaw, sample_region, stream_key
+from orthofield.innovation import InnovationLaw, _inverse_cdf_table, sample_region, stream_key
 from orthofield.lattice import Rectangle
 from orthofield.montecarlo import GapStatistic, sample_paths, sample_rect, uniform_grid
 
@@ -135,6 +135,17 @@ def centered_functionals(draw):
 # -- reference -------------------------------------------------------------------
 
 
+def searchsorted_draw(law, seed, r, region):
+    """The inverse-CDF draw of ``region`` from a new generator of the stream ``(seed, r)``."""
+    key = stream_key(seed, r, region)
+    u = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))).random(
+        region.shape
+    )
+    cum = np.cumsum(law.probs)
+    cum[-1] = 1.0
+    return np.asarray(law.values)[np.searchsorted(cum, u, side="right")]
+
+
 def reference_values(f, sample, n):
     """Pointwise evaluation of the shifted functional at every grid point of ``[1, n]``."""
     out = np.zeros(n)
@@ -168,15 +179,37 @@ def reference_sums(f, d0, n, seed, r):
 @given(law=laws(), dim=st.integers(1, 3), seed=st.integers(0, 2**64 - 1), r=st.integers(0, 99))
 def test_sample_region_matches_searchsorted(law, dim, seed, r):
     region = Rectangle((-1,) * dim, tuple(3 + q for q in range(dim)))
-    key = stream_key(seed, r, region)
-    u = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))).random(
-        region.shape
-    )
-    cum = np.cumsum(law.probs)
-    cum[-1] = 1.0
-    idx = np.searchsorted(cum, u, side="right")
-    expected = np.asarray(law.values)[idx]
+    expected = searchsorted_draw(law, seed, r, region)
     assert np.array_equal(sample_region(region, law, seed, r).values, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    law=laws(),
+    other=laws(),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    r=st.integers(0, 99),
+    earlier=st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 99), st.integers(0, 4)), max_size=3
+    ),
+)
+def test_reused_generator_draws_each_stream_fresh(law, other, dim, seed, r, earlier):
+    # Earlier draws of other regions, laws and replicates leave the per-thread
+    # generator mid-stream, often mid-buffer (odd cell counts).
+    for s2, r2, width in earlier:
+        sample_region(Rectangle((0,) * dim, (width,) * dim), other, s2, r2)
+    region = Rectangle((-1,) * dim, tuple(3 + q for q in range(dim)))
+    expected = searchsorted_draw(law, seed, r, region)
+    first = sample_region(region, law, seed, r)
+    assert np.array_equal(first.values, expected)
+    # Each sample owns its values: writing into one changes neither the next
+    # sample nor the cached value array of the law.
+    first.values[...] = 99.0
+    assert np.array_equal(sample_region(region, law, seed, r).values, expected)
+    table = _inverse_cdf_table(law)[1]
+    assert not table.flags.writeable
+    assert np.array_equal(table, law.values)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

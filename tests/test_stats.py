@@ -42,7 +42,7 @@ def test_ks_statistic_at_exact_quantiles():
     m = 400
     # samples placed exactly at the (i - 0.5)/m quantiles of the uniform cdf
     samples = [(i - 0.5) / m for i in range(1, m + 1)]
-    result = ks_test(samples, lambda x: min(max(x, 0.0), 1.0), level=0.05)
+    result = ks_test(samples, lambda x: np.clip(x, 0.0, 1.0), level=0.05)
     assert result.statistic == pytest.approx(0.5 / m, abs=1e-12)
     assert result.passed
 
