@@ -166,7 +166,7 @@ class FieldSample:
 
 @lru_cache(maxsize=256)
 def _inverse_cdf_table(law: InnovationLaw) -> tuple[tuple[float, ...], np.ndarray]:
-    """The bin edges (cumulative probabilities but the last) and the value array, built once per law."""
+    """The bin edges (cumulative probabilities but the last) and value array of ``law``."""
     values = np.asarray(law.values, dtype=np.float64)
     values.setflags(write=False)
     return tuple(np.cumsum(law.probs[:-1]).tolist()), values

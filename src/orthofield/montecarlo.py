@@ -78,20 +78,14 @@ def _read_plan(f: FiniteRangeFunctional, region: Rectangle, n: Site) -> tuple:
     order: ``values[slices]`` holds the factor's site at every grid point.
     """
     lo = region.lo
-    return tuple(
-        (
-            coeff,
-            tuple(
-                (
-                    tuple(slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(fac.site, lo, n)),
-                    fac.kind,
-                    fac.arg,
-                )
-                for fac in factors
-            ),
+
+    def reads(factors) -> tuple:
+        return tuple(
+            (tuple(slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(site, lo, n)), kind, arg)
+            for site, kind, arg in factors
         )
-        for coeff, factors in f.terms
-    )
+
+    return tuple((coeff, reads(factors)) for coeff, factors in f.terms)
 
 
 def _grid_values(plan: tuple, values: np.ndarray, n: Site) -> np.ndarray:
