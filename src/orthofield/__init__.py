@@ -47,7 +47,7 @@ from .innovation import (
     enumerate_configs,
     sample_region,
 )
-from .lattice import Rectangle, Site, box, leq, prefix_sum, unit
+from .lattice import Rectangle, Site, leq, prefix_sum, unit
 from .montecarlo import (
     GapStatistic,
     PathSamples,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import sqrt
 
 from . import __version__
@@ -27,7 +27,7 @@ from .counterexample import (
     truncated_martingale,
 )
 from .dependence import dependence_profile, martingale_kernel
-from .functional import FiniteRangeFunctional, from_terms, innovation_at
+from .functional import FiniteRangeFunctional, from_terms, innovation_at, json_array
 from .innovation import CapExceededError, InnovationLaw
 from .lattice import unit
 from .montecarlo import (
@@ -59,22 +59,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
-_KNOWN_KEYS = {
-    "dimension",
-    "law",
-    "functional",
-    "grids",
-    "replicates",
-    "seed",
-    "t_resolution",
-    "order",
-    "auto_center",
-    "ks_level",
-    "truncations",
-    "covariance_pairs",
-}
-
-
 @dataclass
 class ExperimentConfig:
     dimension: int
@@ -90,6 +74,10 @@ class ExperimentConfig:
     truncations: list[int]
     covariance_pairs: list[tuple[tuple[float, ...], tuple[float, ...]]]
     doc: dict
+
+
+# The keys a config file may set: every field but the derived ``doc``.
+_KNOWN_KEYS = {field.name for field in fields(ExperimentConfig)} - {"doc"}
 
 
 def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
@@ -121,13 +109,6 @@ def _parse(key: str, convert, value):
         raise ConfigError(f"{key}: cannot read {value!r}: {exc}") from exc
 
 
-def _array(value):
-    """``value`` itself if it is a JSON array; a string is not read as its characters."""
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"need a JSON array, got {type(value).__name__}")
-    return value
-
-
 def _check_sampling_budget(f: FiniteRangeFunctional, grids) -> None:
     """Reject grids whose sampled region (grid plus window margin) exceeds the cell budget."""
     for n in grids:
@@ -149,7 +130,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     law_doc = raw.get("law", {"values": [-1.0, 1.0], "probs": [0.5, 0.5]})
     try:
-        law = InnovationLaw(tuple(_array(law_doc["values"])), tuple(_array(law_doc["probs"])))
+        law = InnovationLaw(
+            tuple(json_array(law_doc["values"])), tuple(json_array(law_doc["probs"]))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"law: {exc}") from exc
 
@@ -168,7 +151,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"functional: {exc}") from exc
 
-    grids_doc = _parse("grids", _array, raw.get("grids", [[64] * dim]))
+    grids_doc = _parse("grids", json_array, raw.get("grids", [[64] * dim]))
     grids = []
     for g in grids_doc:
         n = _parse(
@@ -207,7 +190,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if ks_level not in KS_COEFFICIENTS:
         raise ConfigError(f"ks_level: must be one of {sorted(KS_COEFFICIENTS)}, got {ks_level}")
     truncations = _parse(
-        "truncations", lambda v: [int(n) for n in _array(v)], raw.get("truncations", [2, 3, 4, 5])
+        "truncations",
+        lambda v: [int(n) for n in json_array(v)],
+        raw.get("truncations", [2, 3, 4, 5]),
     )
     if any(n < 1 for n in truncations):
         raise ConfigError(f"truncations: depths must be at least 1, got {truncations}")
@@ -227,42 +212,27 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         pairs = _parse(
             "covariance_pairs",
             lambda v: [
-                (tuple(map(float, _array(s))), tuple(map(float, _array(t)))) for s, t in _array(v)
+                (tuple(map(float, json_array(s))), tuple(map(float, json_array(t))))
+                for s, t in json_array(v)
             ],
             pairs_doc,
         )
         if any(len(time) != dim for pair in pairs for time in pair):
             raise ConfigError(f"covariance_pairs: need times of dimension {dim}, got {pairs}")
 
+    values = dict(
+        dimension=dim, law=law, functional=f, grids=grids, replicates=replicates, seed=seed,
+        t_resolution=t_resolution, order=order, auto_center=auto_center, ks_level=ks_level,
+        truncations=truncations, covariance_pairs=pairs,
+    )
+    # The digested document: the resolved values, with the law and the
+    # functional as the config states them (tuples and lists print alike).
     doc = {
-        "dimension": dim,
+        **values,
         "law": {"values": list(law.values), "probs": list(law.probs)},
         "functional": spec,
-        "grids": [list(g) for g in grids],
-        "replicates": replicates,
-        "seed": seed,
-        "t_resolution": t_resolution,
-        "order": order,
-        "auto_center": auto_center,
-        "ks_level": ks_level,
-        "truncations": truncations,
-        "covariance_pairs": [[list(s), list(t)] for s, t in pairs],
     }
-    return ExperimentConfig(
-        dimension=dim,
-        law=law,
-        functional=f,
-        grids=grids,
-        replicates=replicates,
-        seed=seed,
-        t_resolution=t_resolution,
-        order=order,
-        auto_center=auto_center,
-        ks_level=ks_level,
-        truncations=truncations,
-        covariance_pairs=pairs,
-        doc=doc,
-    )
+    return ExperimentConfig(**values, doc=doc)
 
 
 def _new_report(cfg: ExperimentConfig, command: str) -> Report:

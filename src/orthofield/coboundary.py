@@ -142,21 +142,15 @@ class CoboundaryParts:
     kernel_residual: float
     martingale_violation: float
 
-    def component(self, axes: frozenset[int] | set[int]) -> FiniteRangeFunctional:
-        return self.components[sum(1 << q for q in axes)]
 
-
-def decompose(
-    f: FiniteRangeFunctional,
-    m: int,
-    residual_tol: float = RESIDUAL_TOL,
-    martingale_tol: float = MARTINGALE_TOL,
-) -> CoboundaryParts:
+def decompose(f: FiniteRangeFunctional, m: int) -> CoboundaryParts:
     """Compute and verify all ``2^d`` coboundary components of an order-``m`` functional.
 
     Raises ``ValueError`` naming the violated axis and condition when ``f`` is
     not banded at order ``m``, and :class:`VerificationError` if any verified
-    bound exceeds its tolerance (callers never receive unverified parts).
+    bound exceeds its tolerance (callers never receive unverified parts).  The
+    tolerances are ``RESIDUAL_TOL`` and ``MARTINGALE_TOL`` of the table in
+    :mod:`orthofield.tolerances`.
     """
     violations = order_violations(f, m)
     if violations:
@@ -189,13 +183,13 @@ def decompose(
                         f"component {mask:b} window level on axis {axis}", level, 0
                     )
 
-    if residual > residual_tol:
-        raise VerificationError("reconstruction residual", residual, residual_tol)
-    if kernel_residual > residual_tol:
-        raise VerificationError("kernel identity residual", kernel_residual, residual_tol)
-    if martingale_violation > martingale_tol:
+    if residual > RESIDUAL_TOL:
+        raise VerificationError("reconstruction residual", residual, RESIDUAL_TOL)
+    if kernel_residual > RESIDUAL_TOL:
+        raise VerificationError("kernel identity residual", kernel_residual, RESIDUAL_TOL)
+    if martingale_violation > MARTINGALE_TOL:
         raise VerificationError(
-            "martingale property violation", martingale_violation, martingale_tol
+            "martingale property violation", martingale_violation, MARTINGALE_TOL
         )
     return CoboundaryParts(
         order=m,

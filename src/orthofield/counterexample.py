@@ -31,26 +31,19 @@ HANNAN_CEILING = sqrt(pi**2 / 6.0)
 MAX_TRUNCATION_WORK = 2**24
 
 
-def _require_rademacher(law: InnovationLaw) -> None:
-    if law.values != (-1.0, 1.0) or law.probs != (0.5, 0.5):
-        raise ValueError("the construction requires the Rademacher law")
-
-
-def pattern_block(n: int, law: InnovationLaw | None = None) -> FiniteRangeFunctional:
+def pattern_block(n: int) -> FiniteRangeFunctional:
     """Block ``n``: the depth-``2n`` indicator pattern times the current innovation.
 
     Sites ``-2n`` and ``-2n + 1`` must read minus one, sites ``-2n + 2``
-    through ``-1`` must read plus one; the pattern has probability ``2^(-2n)``
-    so the block's squared norm is ``2^(-2n)``.
+    through ``-1`` must read plus one; under the Rademacher law the pattern
+    has probability ``2^(-2n)`` so the block's squared norm is ``2^(-2n)``.
     """
     if n < 1:
         raise ValueError("block index must be a positive integer")
-    law = law or InnovationLaw.rademacher()
-    _require_rademacher(law)
     factors = [Factor((-2 * n,), "indicator", -1.0), Factor((-2 * n + 1,), "indicator", -1.0)]
     factors += [Factor((k,), "indicator", 1.0) for k in range(-2 * n + 2, 0)]
     factors.append(Factor((0,), "value"))
-    return FiniteRangeFunctional.from_items(law, 1, [(1.0, factors)])
+    return FiniteRangeFunctional.from_items(InnovationLaw.rademacher(), 1, [(1.0, factors)])
 
 
 def block_coefficient(n: int) -> float:
@@ -66,11 +59,11 @@ def truncated_martingale(n_max: int, law: InnovationLaw | None = None) -> Finite
     """
     if not 1 <= n_max <= EXACT_MODE_MAX:
         raise ValueError(f"truncation must lie in [1, {EXACT_MODE_MAX}] for exact mode")
-    law = law or InnovationLaw.rademacher()
-    _require_rademacher(law)
+    if law is not None and law != InnovationLaw.rademacher():
+        raise ValueError("the construction requires the Rademacher law")
     out = None
     for n in range(1, n_max + 1):
-        piece = block_coefficient(n) * pattern_block(n, law)
+        piece = block_coefficient(n) * pattern_block(n)
         out = piece if out is None else out + piece
     return out
 
@@ -117,20 +110,18 @@ class CounterexampleReport:
     growth_ratios: dict[int, float]
 
 
-def comparison_report(n_list, law: InnovationLaw | None = None) -> CounterexampleReport:
+def comparison_report(n_list) -> CounterexampleReport:
     """Exact dependence totals per truncation, with doubling growth ratios.
 
     Truncations beyond the exact-mode cap report only the closed forms and are
     flagged ``analytic``.  In exact mode the per-site physical dependence is
     verified against its closed-form lower bound.
     """
-    law = law or InnovationLaw.rademacher()
-    _require_rademacher(law)
     rows = []
     delta_totals: dict[int, float] = {}
     for n_max in sorted(set(int(n) for n in n_list)):
         if n_max <= EXACT_MODE_MAX:
-            f = truncated_martingale(n_max, law)
+            f = truncated_martingale(n_max)
             hannan = sum(hannan_profile(f).values())
             delta = physical_dependence(f)
             delta_total = sum(delta.values())

@@ -19,12 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .innovation import (
-    DEFAULT_ENUM_CAP,
-    Configuration,
-    InnovationLaw,
-    check_enum_cap,
-)
+from .innovation import Configuration, InnovationLaw, check_enum_cap
 from .lattice import Site
 from .tolerances import DEVIATION_BUDGET, TABLE_TOL
 
@@ -370,17 +365,16 @@ class FiniteRangeFunctional:
 
     # -- tables and comparison -------------------------------------------------------
 
-    def materialize(self, cap: int = DEFAULT_ENUM_CAP) -> "ValueTable":
+    def materialize(self) -> "ValueTable":
         """Dense value table over the window (canonical form for comparisons)."""
         sites = self.window
-        check_enum_cap(len(sites), self.law, cap)
+        check_enum_cap(len(sites), self.law)
         return ValueTable(sites, self.law, _table_array(self, sites))
 
     def deviation(
         self,
         other: "FiniteRangeFunctional | None" = None,
         budget: float = DEVIATION_BUDGET,
-        cap: int = DEFAULT_ENUM_CAP,
     ) -> float:
         """Upper bound on the max pointwise difference from ``other`` (or from zero).
 
@@ -397,23 +391,18 @@ class FiniteRangeFunctional:
             return tiny_mass
         core = FiniteRangeFunctional(diff.law, diff.dim, big)
         sites = core.window
-        check_enum_cap(len(sites), diff.law, cap)
+        check_enum_cap(len(sites), diff.law)
         return float(np.max(np.abs(_table_array(core, sites)))) + tiny_mass
 
-    def equal(
-        self,
-        other: "FiniteRangeFunctional",
-        tol: float = TABLE_TOL,
-        cap: int = DEFAULT_ENUM_CAP,
-    ) -> bool:
-        """Semantic equality: max table deviation at most ``tol``."""
-        return self.deviation(other, budget=tol * 1e-3, cap=cap) <= tol
+    def equal(self, other: "FiniteRangeFunctional") -> bool:
+        """Semantic equality: max table deviation at most ``TABLE_TOL``."""
+        return self.deviation(other, budget=TABLE_TOL * 1e-3) <= TABLE_TOL
 
-    def essential_window(self, budget: float = DEVIATION_BUDGET) -> tuple[Site, ...]:
-        """Window of the terms that carry more than negligible mass."""
+    def essential_window(self) -> tuple[Site, ...]:
+        """Window of the terms that carry more than ``DEVIATION_BUDGET`` of mass."""
         if self.is_zero:
             return ()
-        big, _ = self._split_terms(budget)
+        big, _ = self._split_terms(DEVIATION_BUDGET)
         return tuple(sorted({f.site for _, factors in big for f in factors}))
 
     def _split_terms(self, budget: float) -> tuple[tuple[Term, ...], float]:
@@ -525,19 +514,34 @@ def power_at(law: InnovationLaw, site, exponent: int) -> FiniteRangeFunctional:
     )
 
 
+def json_array(value):
+    """``value`` itself if it is a JSON array; a string is not read as its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"need a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"need a JSON object, got {type(value).__name__}")
+    return value
+
+
 def from_terms(law: InnovationLaw, dim: int, spec) -> FiniteRangeFunctional:
     """Build from a declarative term list.
 
-    ``spec`` is a sequence of ``{"coeff": float, "factors": [...]}`` entries;
-    each factor is ``{"site": [...], "kind": "value"|"indicator"|"power",
-    "arg": ...}`` (``arg`` omitted for plain values).  This is the wire format
-    used by experiment configuration files.
+    ``spec`` is a JSON array of ``{"coeff": float, "factors": [...]}`` objects;
+    each factor is an object ``{"site": [...], "kind": "value"|"indicator"|"power",
+    "arg": ...}`` (``arg`` omitted for plain values) whose site is an array of
+    integers.  This is the wire format used by experiment configuration files;
+    anything else raises ``TypeError``.
     """
     items = []
-    for entry in spec:
+    for entry in json_array(spec):
+        entry = _json_object(entry)
         factors = [
-            Factor(tuple(int(c) for c in fd["site"]), fd.get("kind", VALUE), fd.get("arg"))
-            for fd in entry.get("factors", [])
+            Factor(json_array(fd["site"]), fd.get("kind", VALUE), fd.get("arg"))
+            for fd in map(_json_object, json_array(entry.get("factors", [])))
         ]
         items.append((float(entry["coeff"]), factors))
     return FiniteRangeFunctional.from_items(law, dim, items)

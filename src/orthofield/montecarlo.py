@@ -195,14 +195,12 @@ class CairoliCheck:
         return self.ratio <= self.bound * MC_SLACK_FACTOR + MC_SLACK_SE * self.se_ratio
 
 
-def cairoli_ratio(
-    f: FiniteRangeFunctional,
-    n: Site,
-    replicates: int,
-    seed: int,
-    p: float = 2.0,
-) -> CairoliCheck:
-    """Estimate ``E (max |M_i|)^p / E |M_n|^p`` against the ``(p/(p-1))^(dp)`` bound."""
+def cairoli_ratio(f: FiniteRangeFunctional, n: Site, replicates: int, seed: int) -> CairoliCheck:
+    """Estimate ``E (max |M_i|)^p / E |M_n|^p`` against the ``(p/(p-1))^(dp)`` bound.
+
+    ``p = 2``: the second-moment case of the paper, where the bound is ``4^d``.
+    """
+    p = 2.0
     n = tuple(int(c) for c in n)
     kernel = martingale_kernel(f)
     if kernel.sigma2 <= 0.0:

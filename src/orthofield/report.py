@@ -118,9 +118,6 @@ class Report:
         self.sections.append(sec)
         return sec
 
-    def to_json_bytes(self) -> bytes:
-        return "".join(self._json_chunks()).encode("utf-8")
-
     def stream_json(self, fh) -> None:
         """Write the JSON document to the binary file ``fh`` chunk by chunk."""
         _write_chunks(fh, self._json_chunks())

@@ -8,8 +8,10 @@ code and tests that need a bound import it from here too.
 ========================  ======  ==========================================================
 name                      value   bound on
 ========================  ======  ==========================================================
-``TABLE_TOL``             1e-10   ``FiniteRangeFunctional.equal``: max table deviation
-``DEVIATION_BUDGET``      1e-12   ``deviation``: mass left to terms it does not materialize
+``TABLE_TOL``             1e-10   ``FiniteRangeFunctional.equal``: max table deviation (fixed;
+                                  ``equal`` passes ``deviation`` a budget of ``1e-3`` times it)
+``DEVIATION_BUDGET``      1e-12   ``deviation``: mass left to terms it does not materialize;
+                                  ``essential_window``: mass of the terms it leaves out
 ``RESIDUAL_TOL``          1e-9    ``decompose``: reconstruction and kernel-identity residual
 ``MARTINGALE_TOL``        1e-10   ``decompose``: one-step conditional expectation of a
                                   martingale component

@@ -109,7 +109,7 @@ def test_criterion_06_sheet_covariance(sheet_paths):
 
 def test_criterion_07_cairoli_bound():
     f = innovation_at(LAW, (0, 0))
-    check = cairoli_ratio(f, (64, 64), replicates=1000, seed=SEED, p=2.0)
+    check = cairoli_ratio(f, (64, 64), replicates=1000, seed=SEED)
     assert check.bound == pytest.approx(16.0)
     assert check.ratio <= 16.0 * 1.1
     report(7, "cairoli bound", f"ratio {check.ratio:.3f} <= 17.6")

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from orthofield import cli
+from orthofield import cli, coboundary
 from orthofield.cli import main, resolve_config, ConfigError
-from orthofield.coboundary import decompose
 from orthofield.counterexample import comparison_report
 from orthofield.dependence import martingale_kernel
 from orthofield.functional import FiniteRangeFunctional
@@ -223,7 +222,7 @@ def test_csv_requires_out(capsys, monkeypatch):
 
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch):
     # a negative tolerance makes the reconstruction residual check fail
-    monkeypatch.setattr(cli, "decompose", lambda f, m: decompose(f, m, residual_tol=-1.0))
+    monkeypatch.setattr(coboundary, "RESIDUAL_TOL", -1.0)
     cfg = write_config(tmp_path, {"dimension": 1, "functional": "telescope", "order": 2})
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
     err = capsys.readouterr().err
@@ -429,6 +428,31 @@ def test_json_strings_are_not_arrays(tmp_path, capsys, monkeypatch):
         out = tmp_path / f"x{k}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_term_lists_read_only_their_wire_format(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(cli, "dependence_profile", no_compute)
+    value_at_01 = [{"coeff": 1.0, "factors": [{"site": [0, 1]}]}]
+    assert resolve_config({"dimension": 2, "functional": {"terms": value_at_01}}).functional
+    cases = (
+        # the site string used to read as the site (0, 1)
+        [{"coeff": 1.0, "factors": [{"site": "01"}]}],
+        # these three used to end in an AttributeError traceback
+        "ab",
+        [1],
+        {"coeff": 1.0},
+        [{"coeff": 1.0, "factors": "ab"}],
+        [{"coeff": 1.0, "factors": [[0, 1]]}],
+    )
+    for k, terms in enumerate(cases):
+        cfg = write_config(tmp_path, {"dimension": 2, "functional": {"terms": terms}}, f"t{k}.json")
+        out = tmp_path / f"x{k}"
+        assert main(["describe", "--config", cfg, "--out", str(out)]) == 1, terms
+        assert capsys.readouterr().err.startswith("error: functional: ")
         assert not out.exists()
 
 

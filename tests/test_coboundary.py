@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from orthofield import coboundary
 from orthofield.coboundary import (
     VerificationError,
     center,
@@ -218,14 +219,15 @@ def test_zero_reconstructs_to_zero():
     assert reconstruct_sum(components, 2).is_zero
 
 
-def test_failed_bounds_raise_verification_error_naming_the_check():
+def test_failed_bounds_raise_verification_error_naming_the_check(monkeypatch):
     f = innovation_at(LAW, (-1,)) - innovation_at(LAW, (0,))
-    for kwargs, check in (
-        ({"residual_tol": -1.0}, "reconstruction residual"),
-        ({"martingale_tol": -1.0}, "martingale property violation"),
+    for name, check in (
+        ("RESIDUAL_TOL", "reconstruction residual"),
+        ("MARTINGALE_TOL", "martingale property violation"),
     ):
-        with pytest.raises(VerificationError) as info:
-            decompose(f, 2, **kwargs)
+        with monkeypatch.context() as patch, pytest.raises(VerificationError) as info:
+            patch.setattr(coboundary, name, -1.0)
+            decompose(f, 2)
         err = info.value
         assert isinstance(err, ArithmeticError)
         assert err.check == check and err.tolerance == -1.0 and err.amount >= 0.0

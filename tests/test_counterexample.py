@@ -154,8 +154,6 @@ def test_embedded_truncation_is_martingale_difference():
 def test_input_validation():
     skewed = InnovationLaw((-1.0, 1.0), (0.25, 0.75))
     with pytest.raises(ValueError, match="Rademacher"):
-        pattern_block(1, skewed)
-    with pytest.raises(ValueError, match="Rademacher"):
         truncated_martingale(2, skewed)
     with pytest.raises(ValueError):
         truncated_martingale(EXACT_MODE_MAX + 1)

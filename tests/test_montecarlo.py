@@ -31,6 +31,13 @@ def sums(f, n, seed, r, coupled=False):
     return _replicate(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, r)
 
 
+def innovations(f, n, seed, r):
+    """Replicate ``r``'s sampled innovation at a site, as ``site -> value``."""
+    region = sample_rect(f, n)
+    values = sample_region(region, LAW, seed=seed, replicate=r).values
+    return lambda site: float(values[tuple(a - b for a, b in zip(site, region.lo))])
+
+
 def gap_statistic(f, n, replicates, seed):
     """The approximation gaps as verify-clt reads them: off the coupled path samples."""
     paths = sample_paths(
@@ -57,8 +64,8 @@ def test_identity_field_sums_sampled_values():
 def test_linear_field_hand_expansion_d1():
     f = innovation_at(LAW, (0,)) + innovation_at(LAW, (-1,))
     s, _ = sums(f, (3,), seed=9, r=2)
-    eps = sample_region(sample_rect(f, (3,)), LAW, seed=9, replicate=2)
-    expected = sum(eps.value_at((i,)) + eps.value_at((i - 1,)) for i in range(1, 4))
+    eps = innovations(f, (3,), seed=9, r=2)
+    expected = sum(eps((i,)) + eps((i - 1,)) for i in range(1, 4))
     assert s[2] == pytest.approx(expected)
 
 
@@ -80,17 +87,17 @@ def test_orthomartingale_telescope_is_zero():
     s, m = sums(f, (16,), seed=3, r=1, coupled=True)
     assert np.all(m == 0.0)
     # while the field telescopes to a boundary difference
-    eps = sample_region(sample_rect(f, (16,)), LAW, seed=3, replicate=1)
+    eps = innovations(f, (16,), seed=3, r=1)
     for k in (1, 7, 16):
-        assert s[k - 1] == pytest.approx(eps.value_at((0,)) - eps.value_at((k,)))
+        assert s[k - 1] == pytest.approx(eps((0,)) - eps((k,)))
 
 
 def test_orthomartingale_linear_kernel():
     a = 0.5
     f = innovation_at(LAW, (0,)) + a * innovation_at(LAW, (-1,))
     _, m = sums(f, (12,), seed=21, r=0, coupled=True)
-    eps = sample_region(sample_rect(f, (12,)), LAW, seed=21, replicate=0)
-    total = (1 + a) * sum(eps.value_at((i,)) for i in range(1, 13))
+    eps = innovations(f, (12,), seed=21, r=0)
+    total = (1 + a) * sum(eps((i,)) for i in range(1, 13))
     assert m[11] == pytest.approx(total)
 
 
@@ -190,7 +197,7 @@ def test_oversized_grid_rejected_before_sampling(monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_region", no_sampling)
     f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
     side = math.isqrt(MAX_SAMPLE_CELLS) - 2  # 2046 + 2 * margin 1 = 2048 cells a side
-    assert sample_rect(f, (side, side)).cardinality == MAX_SAMPLE_CELLS
+    assert math.prod(sample_rect(f, (side, side)).shape) == MAX_SAMPLE_CELLS
     with pytest.raises(ValueError, match="budget"):
         sample_paths(f, (side + 1, side), uniform_grid(2, 1), replicates=2, seed=1)
 

@@ -6,6 +6,7 @@ own -- and serializes whole documents at once.  The package's writers must
 produce the same bytes for JSON, for every CSV file and on stdout.
 """
 
+import io
 import itertools
 import tempfile
 import tracemalloc
@@ -82,7 +83,9 @@ def assert_matches_reference(f, name="kernel_table"):
     sections = [PLAIN, (name, *reference_rows(f))]
 
     expected_json = reference_json(META, sections)
-    assert report.to_json_bytes() == expected_json
+    buf = io.BytesIO()
+    report.stream_json(buf)
+    assert buf.getvalue() == expected_json
     with tempfile.TemporaryDirectory() as tmp:
         json_paths = report.write(Path(tmp) / "json", "json")
         assert [p.name for p in json_paths] == ["report.json"]

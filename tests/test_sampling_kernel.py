@@ -146,8 +146,11 @@ def searchsorted_draw(law, seed, r, region):
     return np.asarray(law.values)[np.searchsorted(cum, u, side="right")]
 
 
-def reference_values(f, sample, n):
-    """Pointwise evaluation of the shifted functional at every grid point of ``[1, n]``."""
+def reference_values(f, values, lo, n):
+    """Pointwise evaluation of the shifted functional at every grid point of ``[1, n]``.
+
+    ``values`` is a sample of the region with lower corner ``lo``.
+    """
     out = np.zeros(n)
     for idx in np.ndindex(*n):
         i = tuple(c + 1 for c in idx)
@@ -155,7 +158,8 @@ def reference_values(f, sample, n):
         for coeff, facs in f.terms:
             val = coeff
             for fac in facs:
-                val = val * fac.evaluate(sample.value_at(tuple(a + b for a, b in zip(i, fac.site))))
+                at = tuple(a + b - c for a, b, c in zip(i, fac.site, lo))
+                val = val * fac.evaluate(float(values[at]))
             total = total + val
         out[idx] = total
     return out
@@ -165,7 +169,8 @@ def reference_sums(f, d0, n, seed, r):
     """Partial sums of ``f`` and of ``d0``, each on its own draw of replicate ``r``."""
     sums = []
     for g in (f, d0):
-        arr = reference_values(g, sample_region(sample_rect(f, n), f.law, seed, r), n)
+        region = sample_rect(f, n)
+        arr = reference_values(g, sample_region(region, f.law, seed, r).values, region.lo, n)
         for axis in range(len(n)):
             arr = np.cumsum(arr, axis=axis)
         sums.append(arr)
