@@ -27,7 +27,7 @@ from .counterexample import (
     truncated_martingale,
 )
 from .dependence import dependence_profile, martingale_kernel
-from .functional import FiniteRangeFunctional, from_terms, innovation_at, json_array
+from .functional import FiniteRangeFunctional, from_terms, innovation_at, json_array, json_int
 from .innovation import CapExceededError, InnovationLaw
 from .lattice import unit
 from .montecarlo import (
@@ -85,7 +85,7 @@ def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
         if ":" in name:
             n_max = int(name.split(":", 1)[1])
         else:
-            n_max = int(params.get("n_max", 3))
+            n_max = json_int(params.get("n_max", 3))
         f = truncated_martingale(n_max, law)
         return embed_diagonal(f, dim) if dim > 1 else f
     origin = (0,) * dim
@@ -124,7 +124,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    dim = _parse("dimension", int, raw.get("dimension", 1))
+    dim = _parse("dimension", json_int, raw.get("dimension", 1))
     if not 1 <= dim <= 6:
         raise ConfigError(f"dimension: must be between 1 and 6, got {dim}")
 
@@ -156,7 +156,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for g in grids_doc:
         n = _parse(
             "grids",
-            lambda v: tuple(int(c) for c in (v if isinstance(v, (list, tuple)) else [v] * dim)),
+            lambda v: tuple(map(json_int, v if isinstance(v, (list, tuple)) else [v] * dim)),
             g,
         )
         if len(n) != dim or any(c < 1 for c in n):
@@ -167,11 +167,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if "grids" in raw:  # verify-clt, the only command that samples, also checks the default
         _check_sampling_budget(f, grids)
 
-    replicates = _parse("replicates", int, raw.get("replicates", 500))
+    replicates = _parse("replicates", json_int, raw.get("replicates", 500))
     if replicates < 1:
         raise ConfigError("replicates: must be positive")
-    seed = _parse("seed", int, raw.get("seed", DEFAULT_SEED))
-    t_resolution = _parse("t_resolution", int, raw.get("t_resolution", 4))
+    seed = _parse("seed", json_int, raw.get("seed", DEFAULT_SEED))
+    t_resolution = _parse("t_resolution", json_int, raw.get("t_resolution", 4))
     if t_resolution < 1:
         raise ConfigError("t_resolution: must be at least 1")
     path_values = replicates * (t_resolution + 1) ** dim
@@ -180,7 +180,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"replicates, t_resolution: {replicates} paths at {t_resolution + 1}^{dim} times "
             f"hold {path_values} values, above the budget of {MAX_PATH_VALUES}"
         )
-    order = _parse("order", int, raw.get("order", 2))
+    order = _parse("order", json_int, raw.get("order", 2))
     if order < 1:
         raise ConfigError("order: must be a positive integer")
     auto_center = raw.get("auto_center", False)
@@ -191,7 +191,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"ks_level: must be one of {sorted(KS_COEFFICIENTS)}, got {ks_level}")
     truncations = _parse(
         "truncations",
-        lambda v: [int(n) for n in json_array(v)],
+        lambda v: [json_int(n) for n in json_array(v)],
         raw.get("truncations", [2, 3, 4, 5]),
     )
     if any(n < 1 for n in truncations):

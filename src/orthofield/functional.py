@@ -49,7 +49,7 @@ class Factor(namedtuple("Factor", "site kind arg")):
                 raise ValueError("indicator factors need a target value")
             arg = float(arg)
         if kind == POWER:
-            if arg is None or int(arg) < 0:
+            if arg is None or json_int(arg) < 0:
                 raise ValueError("power factors need a nonnegative integer exponent")
             arg = int(arg)
         return tuple.__new__(cls, (site, kind, arg))
@@ -521,6 +521,13 @@ def json_array(value):
     return value
 
 
+def json_int(value) -> int:
+    """``value`` as an integer; a bool or a float with a fractional part is not one."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"need an integer, got {value!r}")
+    return int(value)
+
+
 def _json_object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"need a JSON object, got {type(value).__name__}")
@@ -540,7 +547,7 @@ def from_terms(law: InnovationLaw, dim: int, spec) -> FiniteRangeFunctional:
     for entry in json_array(spec):
         entry = _json_object(entry)
         factors = [
-            Factor(json_array(fd["site"]), fd.get("kind", VALUE), fd.get("arg"))
+            Factor(map(json_int, json_array(fd["site"])), fd.get("kind", VALUE), fd.get("arg"))
             for fd in map(_json_object, json_array(entry.get("factors", [])))
         ]
         items.append((float(entry["coeff"]), factors))

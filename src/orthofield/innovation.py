@@ -83,12 +83,6 @@ class Configuration:
     values: tuple[float, ...]
     weight: float
 
-    def value_at(self, site: Site) -> float:
-        try:
-            return self.values[self.sites.index(site)]
-        except ValueError:
-            raise KeyError(f"site {site} not assigned") from None
-
     @property
     def assignment(self) -> dict[Site, float]:
         return dict(zip(self.sites, self.values))

@@ -5,8 +5,10 @@ draws its sample once (:func:`_replicate`, the one per-replicate kernel) and
 evaluates the field and its orthomartingale approximation on that sample, so
 pathwise comparisons are genuinely coupled.  What does not change within a
 grid is built once per grid: :func:`_fold` turns each functional into a read
-plan (the array slice every factor reads), so a replicate costs the draw, the
-reads and the prefix sums.  Aggregation folds
+plan (the array slice every factor reads), so a replicate costs the draw and
+the reads, and each statistic then takes only the sums it needs: a prefix sum
+for the maximal checks, and for :func:`sample_paths` block sums at the path
+points plus one prefix sum of ``f - d0`` for the gap.  Aggregation folds
 replicates in index order, which makes every statistic a pure function of
 ``(functional, grid, seed, replicates)``.  Replicates run one after another;
 only :func:`sample_paths` can run several at once, which changes wall time and
@@ -33,10 +35,11 @@ MC_SLACK_SE = 3.0
 
 # Largest sampled region (grid plus window margin on every side), in cells.
 # One replicate's working set peaks at 32 bytes per cell when every factor is
-# a value read (the innovations, the field's prefix sum, the kernel's values
-# and one term buffer) and near 41 with an indicator read, which adds its
-# float copy (tracemalloc at 1024^2), so 2**22 cells hold it in at most about
-# 165 MiB.  The README configs sample at most 132^2 cells.
+# a value read (the innovations, the field's values, the kernel's values and
+# one term buffer, while the kernel is evaluated) and near 41 with an
+# indicator read, which adds its float copy (tracemalloc at 1024^2, in
+# sample_paths and cairoli_ratio alike), so 2**22 cells hold it in at most
+# about 165 MiB.  The README configs sample at most 132^2 cells.
 MAX_SAMPLE_CELLS = 2**22
 
 # Most path values ``sample_paths`` may hold for one grid: ``replicates``
@@ -120,19 +123,19 @@ def _replicate(
     """The per-replicate kernel: one innovation draw feeds the field and its orthomartingale.
 
     Samples ``region`` (which is ``sample_rect(f, n)``) once for replicate
-    ``r`` and returns the partial sums ``s`` of the field on ``[1, n]``
-    (``s[m - 1] = S_m``) and, when the kernel's plan ``d0_plan`` is given, the
-    partial sums ``m`` of the orthomartingale on the same sample (``None``
-    otherwise).  The plans are :func:`_read_plan` of ``f`` and ``d0`` on ``region``.
+    ``r`` and returns the field's values ``x`` on ``[1, n]`` (``x[i - 1]`` is
+    ``f`` shifted to ``i``) and, when the kernel's plan ``d0_plan`` is given,
+    the orthomartingale's increments ``y`` on the same sample (``None``
+    otherwise); ``prefix_sum`` of either gives its partial sums.  The plans are
+    :func:`_read_plan` of ``f`` and ``d0`` on ``region``.
     """
     values = sample_region(region, law, seed, r).values
-    s = prefix_sum(_grid_values(f_plan, values, n))
-    m = None if d0_plan is None else prefix_sum(_grid_values(d0_plan, values, n))
-    return s, m
+    x = _grid_values(f_plan, values, n)
+    return x, None if d0_plan is None else _grid_values(d0_plan, values, n)
 
 
 def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> list:
-    """``stat(s, m)`` of the partial sums of every replicate's single draw, in replicate order."""
+    """``stat(x, y)`` of the grid values of every replicate's single draw, in replicate order."""
     region = sample_rect(f, n)
     f_plan = _read_plan(f, region, n)
     d0_plan = None if d0 is None else _read_plan(d0, region, n)
@@ -144,12 +147,6 @@ def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) ->
         return [one(r) for r in range(replicates)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(replicates)))
-
-
-def _gap(s: np.ndarray, m: np.ndarray, norm: float) -> float:
-    """The normalized approximation gap ``max_m |S_m - M_m| / norm``; overwrites ``m``."""
-    np.subtract(s, m, out=m)
-    return float(np.abs(m, out=m).max()) / norm
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,8 @@ def cairoli_ratio(f: FiniteRangeFunctional, n: Site, replicates: int, seed: int)
     bound = (p / (p - 1.0)) ** (len(n) * p)
     corner = tuple(c - 1 for c in n)
 
-    def stat(s, m) -> tuple[float, float]:
+    def stat(x, y) -> tuple[float, float]:
+        m = prefix_sum(y)
         return float(np.max(np.abs(m)) ** p), float(abs(m[corner]) ** p)
 
     pairs = _fold(stat, f, kernel.d0, n, replicates, seed)
@@ -257,7 +255,7 @@ def uniform_integrability_diagnostic(
         norm = sqrt(prod(n))
         y = np.asarray(
             _fold(
-                lambda s, m: float(np.max(np.abs(m))) / norm,
+                lambda x, y: float(np.max(np.abs(prefix_sum(y)))) / norm,
                 f, kernel.d0, n, replicates, seed,
             )
         )
@@ -293,7 +291,7 @@ def maximal_inequality_check(
     n = tuple(int(c) for c in n)
     rhs = 2 ** len(n) * sqrt(prod(n)) * sum(hannan_profile(f).values())
     v = np.asarray(
-        _fold(lambda s, m: float(np.max(s)) ** 2, f, None, n, replicates, seed)
+        _fold(lambda x, y: float(np.max(prefix_sum(x))) ** 2, f, None, n, replicates, seed)
     )
     mean = float(v.mean())
     lhs = sqrt(max(mean, 0.0))
@@ -351,8 +349,12 @@ def sample_paths(
     """Normalized path samples ``S_{floor(n t)} / |n|^(1/2)`` at the given times.
 
     A time with any coordinate hitting index zero evaluates to the empty sum.
-    Given the martingale ``kernel``, the samples also carry every replicate's
-    gap ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, so one pass over the
+    The path points are block sums of the field's values between the per-axis
+    cuts ``floor(n_q t_q) >= 1``, one ``np.add.reduceat`` per axis, followed by
+    a prefix sum over the small block array; cells past the last cut are never
+    summed.  Given the martingale ``kernel``, the samples also carry every
+    replicate's gap ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, read
+    from one prefix sum of the values of ``f - d0``, so one pass over the
     replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
     ``threads`` replicates run at once; the samples do not depend on it.  The
     benchmark's traced ``clt_2d`` run times this function at 1 and 2 threads.
@@ -360,16 +362,27 @@ def sample_paths(
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)
     norm = sqrt(prod(n))
-    # S_{floor(n t)} as one gather from the flat prefix array; empty sums read 0.
     k = np.array(
         [[floor(nq * tq) for nq, tq in zip(n, t)] for t in grid], dtype=np.intp
     ).reshape(len(grid), len(n))
     live = (k >= 1).all(axis=1)
-    flat = np.ravel_multi_index(tuple(np.maximum(k - 1, 0).T), n)
+    # Built once per grid: the cuts, the block starts and each time's block.
+    # With no live time every point reads 0, so one 1-cell block per axis does.
+    cuts = [np.unique(col[col >= 1]) if live.any() else np.ones(1, np.intp) for col in k.T]
+    starts = [np.concatenate(([0], c[:-1])) for c in cuts]
+    head = tuple(slice(c[-1]) for c in cuts)
+    at = [np.searchsorted(c, col) for c, col in zip(cuts, k.T)]
+    flat = np.ravel_multi_index(at, [len(c) for c in cuts], mode="clip")
 
-    def stat(s, m) -> tuple[np.ndarray, float | None]:
-        row = np.where(live, s.ravel()[flat], 0.0) / norm
-        return row, None if m is None else _gap(s, m, norm)
+    def stat(x, y) -> tuple[np.ndarray, float | None]:
+        blocks = x[head]
+        for axis, idx in enumerate(starts):
+            blocks = np.add.reduceat(blocks, idx, axis=axis)
+        row = np.where(live, prefix_sum(blocks).ravel()[flat], 0.0) / norm
+        if y is None:
+            return row, None
+        gap = prefix_sum(np.subtract(x, y, out=y))
+        return row, float(np.abs(gap, out=gap).max()) / norm
 
     d0 = None if kernel is None else kernel.d0
     rows, gaps = zip(*_fold(stat, f, d0, n, replicates, seed, threads))

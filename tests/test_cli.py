@@ -431,6 +431,51 @@ def test_json_strings_are_not_arrays(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_integer_fields_reject_non_integers(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    monkeypatch.setattr(cli, "comparison_report", no_compute)
+    clt = {"dimension": 2, "grids": [[16, 16]], "replicates": 200}
+
+    def terms(factor):
+        return {"terms": [{"coeff": 1.0, "factors": [factor]}]}
+
+    cases = (
+        # each of these used to be truncated (or read as 0 or 1) without a word
+        ("dimension", "verify-clt", {**clt, "dimension": 2.9}),
+        ("dimension", "verify-clt", {"dimension": True, "grids": [[16]], "replicates": 200}),
+        ("replicates", "verify-clt", {**clt, "replicates": 500.5}),
+        ("t_resolution", "verify-clt", {**clt, "t_resolution": 2.5}),
+        ("order", "verify-clt", {**clt, "order": 2.5}),
+        ("seed", "verify-clt", {**clt, "seed": 1.5}),
+        ("truncations", "counterexample", {"truncations": [1.5]}),
+        ("grids", "verify-clt", {**clt, "grids": [16.7]}),
+        ("grids", "verify-clt", {**clt, "grids": [[16, 16.7]]}),
+        ("functional", "verify-clt", {**clt, "functional": terms({"site": [0.5, 1]})}),
+        (
+            "functional",
+            "verify-clt",
+            {**clt, "functional": terms({"site": [0, 0], "kind": "power", "arg": 2.5})},
+        ),
+        (
+            "functional",
+            "verify-clt",
+            {**clt, "functional": {"builtin": "counterexample", "n_max": 2.5}},
+        ),
+    )
+    for k, (key, command, doc) in enumerate(cases):
+        cfg = write_config(tmp_path, doc, name=f"bad{k}.json")
+        out = tmp_path / f"x{k}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+    # a float with no fractional part is still an integer
+    cfg = resolve_config({**clt, "replicates": 200.0, "grids": [16.0]})
+    assert cfg.replicates == 200 and type(cfg.replicates) is int and cfg.grids == [(16, 16)]
+
+
 def test_term_lists_read_only_their_wire_format(tmp_path, capsys, monkeypatch):
     def no_compute(*args, **kwargs):
         raise AssertionError("compute started")

@@ -80,7 +80,7 @@ def test_shift_moves_sites():
     g = f.shift((1,))
     assert g.window == ((1,),)
     for c in enumerate_configs([(0,), (1,)], LAW):
-        assert g.evaluate(c) == c.value_at((1,))
+        assert g.evaluate(c) == c.assignment[(1,)]
 
 
 def test_zero_shift_is_identity():

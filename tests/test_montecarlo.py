@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,8 @@ def sums(f, n, seed, r, coupled=False):
     """The field's partial sums of replicate ``r`` and, if ``coupled``, its orthomartingale's."""
     region = sample_rect(f, n)
     d0_plan = _read_plan(martingale_kernel(f).d0, region, n) if coupled else None
-    return _replicate(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, r)
+    x, y = _replicate(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, r)
+    return prefix_sum(x), None if y is None else prefix_sum(y)
 
 
 def innovations(f, n, seed, r):
@@ -213,3 +215,56 @@ def test_sample_paths_thread_equivalence():
     assert np.array_equal(one.values, two.values)
     assert np.array_equal(one.gaps, two.gaps)
     assert one.gaps.shape == (40,)
+
+
+@pytest.mark.parametrize("n", [(11,), (10, 7), (6, 5, 9)])
+def test_paths_below_one_read_no_cell_past_the_last_cut(monkeypatch, n):
+    # Dyadic values make every summation order exact, so the block sums equal
+    # the gather from the full prefix sum; NaN past the largest cut floor(0.55 n)
+    # shows those cells are never summed.
+    grid_values = montecarlo._grid_values
+
+    def poisoned(plan, values, m):
+        x = grid_values(plan, values, m)
+        for axis, c in enumerate(m):
+            x[(slice(None),) * axis + (slice(math.floor(0.55 * c), None),)] = np.nan
+        return x
+
+    f = innovation_at(LAW, (0,) * len(n)) + 0.5 * innovation_at(LAW, (-1,) + (0,) * (len(n) - 1))
+    grid = list(itertools.product((0.0, 0.3, 0.55), repeat=len(n)))
+    ks = [tuple(math.floor(c * tq) for c, tq in zip(n, t)) for t in grid]
+    norm = math.sqrt(math.prod(n))
+    expected = []
+    for r in range(4):
+        s, _ = sums(f, n, seed=22, r=r)
+        expected.append([0.0 if min(k) < 1 else s[tuple(c - 1 for c in k)] / norm for k in ks])
+    monkeypatch.setattr(montecarlo, "_grid_values", poisoned)
+    paths = sample_paths(f, n, grid, replicates=4, seed=22)
+    assert np.array_equal(paths.values, np.array(expected).T)
+
+
+def test_monte_carlo_checks_are_pinned():
+    # Non-dyadic coefficients on a three-point law: any change to the order in
+    # which the orthomartingale's or the field's partial sums are taken moves
+    # these values.
+    law = InnovationLaw((-1.0, 0.0, 2.0), (0.5, 0.25, 0.25))
+    f = (
+        innovation_at(law, (0, 0))
+        + 0.3 * innovation_at(law, (-1, 0))
+        - 0.7 * innovation_at(law, (0, -1))
+    )
+    check = cairoli_ratio(f, (12, 10), replicates=40, seed=5)
+    assert (check.ratio, check.se_ratio, check.num, check.den) == (
+        1.8884114023778829, 0.2503703133434367, 118.64700000000005, 62.82900000000002,
+    )
+    rows = uniform_integrability_diagnostic(
+        f, [(6, 9), (12, 10)], [0.0, 0.5, 2.0], replicates=40, seed=5
+    )
+    assert [row.value for row in rows] == [
+        1.3088333333333337, 1.2053333333333338, 0.8383333333333336,
+        0.9887250000000003, 0.9157500000000003, 0.32475000000000015,
+    ]
+    maximal = maximal_inequality_check(f, (12, 10), replicates=40, seed=5)
+    assert (maximal.lhs, maximal.rhs, maximal.se_lhs) == (
+        12.631706139710502, 107.3312629199899, 1.1066850924404044,
+    )

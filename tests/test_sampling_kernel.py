@@ -5,8 +5,9 @@ configurations; any change to sampling, evaluation, prefix sums, path
 extraction or the gap must leave them unchanged.  The property tests rebuild
 the inverse-CDF draw and the coupled sums independently: the field and its
 orthomartingale are evaluated point by point on two separate draws of the same
-replicate stream, which must agree exactly with what the package computes
-from its single draw.
+replicate stream, summed in the package's order (block sums for the path
+points, one prefix sum of ``f - d0`` for the gap), and must agree exactly with
+what the package computes from its single draw.
 """
 
 import hashlib
@@ -165,16 +166,30 @@ def reference_values(f, values, lo, n):
     return out
 
 
-def reference_sums(f, d0, n, seed, r):
-    """Partial sums of ``f`` and of ``d0``, each on its own draw of replicate ``r``."""
-    sums = []
-    for g in (f, d0):
-        region = sample_rect(f, n)
-        arr = reference_values(g, sample_region(region, f.law, seed, r).values, region.lo, n)
-        for axis in range(len(n)):
-            arr = np.cumsum(arr, axis=axis)
-        sums.append(arr)
-    return sums
+def reference_draws(f, d0, n, seed, r):
+    """Pointwise values of ``f`` and of ``d0``, each on its own draw of replicate ``r``."""
+    region = sample_rect(f, n)
+    return [
+        reference_values(g, sample_region(region, f.law, seed, r).values, region.lo, n)
+        for g in (f, d0)
+    ]
+
+
+def cumsum_each_axis(arr):
+    for axis in range(arr.ndim):
+        arr = np.cumsum(arr, axis=axis)
+    return arr
+
+
+def reference_path_point(x, grid, n, k):
+    """``S_k`` from block sums of ``x`` between the per-axis cuts of ``grid``; 0 if empty."""
+    if min(k) < 1:
+        return 0.0
+    cuts = [sorted({floor(nq * t[q]) for t in grid} - {0}) for q, nq in enumerate(n)]
+    blocks = x[tuple(slice(c[-1]) for c in cuts)]
+    for axis, c in enumerate(cuts):
+        blocks = np.add.reduceat(blocks, [0] + c[:-1], axis=axis)
+    return float(cumsum_each_axis(blocks)[tuple(c.index(kq) for c, kq in zip(cuts, k))])
 
 
 # -- properties --------------------------------------------------------------------
@@ -234,13 +249,13 @@ def test_paths_and_gaps_match_two_sample_reference(f, data, seed, resolution):
     coupled = sample_paths(f, n, grid, replicates, seed, kernel=kernel)
     gap = GapStatistic.of(n, coupled.gaps.tolist())
     for r in range(replicates):
-        s, m = reference_sums(f, kernel.d0, n, seed, r)
+        x, y = reference_draws(f, kernel.d0, n, seed, r)
         for t in grid:
             k = tuple(floor(nq * tq) for nq, tq in zip(n, t))
-            expected = 0.0 if min(k) < 1 else float(s[tuple(c - 1 for c in k)])
+            expected = reference_path_point(x, grid, n, k)
             assert paths.at(t)[r] == expected / norm
             assert coupled.at(t)[r] == expected / norm
-        expected_gap = float(np.max(np.abs(s - m))) / norm
+        expected_gap = float(np.max(np.abs(cumsum_each_axis(x - y)))) / norm
         assert gap.samples[r] == expected_gap
         assert coupled.gaps[r] == expected_gap
     assert paths.gaps is None
