@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
-from math import sqrt
+from dataclasses import astuple, dataclass, fields
+from math import inf, sqrt
 
 from . import __version__
 from .coboundary import VerificationError, center, check_order, decompose
 from .counterexample import (
     MAX_TRUNCATION_WORK,
+    CounterexampleRow,
     comparison_report,
     embed_diagonal,
     truncated_martingale,
@@ -40,13 +41,14 @@ from .montecarlo import (
 from .report import DenseTable, Report, config_digest, format_value
 from .stats import (
     KS_COEFFICIENTS,
-    SE_BOUND,
+    MIN_KS_SAMPLES,
     ks_test,
     moment_summary,
     normal_cdf,
     sheet_covariance_check,
 )
 from .suites import run_all
+from .tolerances import SE_BOUND
 
 DEFAULT_SEED = 20260809
 
@@ -83,7 +85,7 @@ _KNOWN_KEYS = {field.name for field in fields(ExperimentConfig)} - {"doc"}
 def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
     if name.startswith("counterexample"):
         if ":" in name:
-            n_max = int(name.split(":", 1)[1])
+            n_max = _parse("functional", _digits, name.split(":", 1)[1])
         else:
             n_max = json_int(params.get("n_max", 3))
         f = truncated_martingale(n_max, law)
@@ -99,6 +101,13 @@ def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
         back = tuple(-c for c in unit(dim, 0))
         return innovation_at(law, back) - innovation_at(law, origin)
     raise ConfigError(f"functional: unknown builtin {name!r}")
+
+
+def _digits(text: str) -> int:
+    """ASCII digits as an integer; ``int`` would also read ``1_0``, `` 5`` and other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("need ASCII digits")
+    return int(text)
 
 
 def _parse(key: str, convert, value):
@@ -318,8 +327,8 @@ def cmd_decompose(cfg: ExperimentConfig) -> tuple[Report, int]:
 
 def cmd_verify_clt(cfg: ExperimentConfig) -> tuple[Report, int]:
     f = cfg.functional
-    if cfg.replicates < 200:
-        raise ConfigError("replicates: verify-clt needs at least 200 replicates")
+    if cfg.replicates < MIN_KS_SAMPLES:
+        raise ConfigError(f"replicates: verify-clt needs at least {MIN_KS_SAMPLES} replicates")
     _check_sampling_budget(f, cfg.grids)
     t_grid = uniform_grid(cfg.dimension, cfg.t_resolution)
     off_grid = [list(t) for pair in cfg.covariance_pairs for t in pair if t not in t_grid]
@@ -404,29 +413,11 @@ def cmd_counterexample(cfg: ExperimentConfig) -> tuple[Report, int]:
         raise ConfigError("truncations: need at least one truncation depth")
     rep = comparison_report(cfg.truncations)
     report = _new_report(cfg, "counterexample")
-    sec = report.section(
-        "truncations",
-        [
-            "n_max",
-            "hannan_total",
-            "hannan_bound",
-            "delta_total",
-            "delta_lower_bound",
-            "mode",
-            "lower_bound_ok",
-        ],
-    )
+    # The row's fields, in order, are the columns: reordering them changes the report bytes.
+    sec = report.section("truncations", [field.name for field in fields(CounterexampleRow)])
     failed = False
     for row in rep.rows:
-        sec.add(
-            row.n_max,
-            row.hannan_total,
-            row.hannan_bound,
-            row.delta_total,
-            row.delta_lower_bound,
-            row.mode,
-            row.lower_bound_ok,
-        )
+        sec.add(*astuple(row))
         if row.lower_bound_ok is False:
             failed = True
             _report_failure(
@@ -443,6 +434,8 @@ def cmd_counterexample(cfg: ExperimentConfig) -> tuple[Report, int]:
 
 
 def cmd_selftest(cfg: ExperimentConfig, tolerance: float | None = None) -> tuple[Report, int]:
+    if tolerance is not None and not 0.0 <= tolerance < inf:
+        raise ConfigError(f"tolerance: must be finite and at least 0, got {tolerance}")
     checks = run_all(cfg.seed)
     report = _new_report(cfg, "selftest")
     if tolerance is not None:
@@ -525,7 +518,9 @@ def main(argv=None) -> int:
         if args.replicates is not None:
             raw["replicates"] = args.replicates
         if args.truncations is not None:
-            raw["truncations"] = [int(v) for v in args.truncations.split(",") if v]
+            raw["truncations"] = _parse(
+                "truncations", lambda v: [_digits(n) for n in v.split(",") if n], args.truncations
+            )
         cfg = resolve_config(raw)
         if args.command == "selftest":
             report, code = cmd_selftest(cfg, tolerance=args.tolerance)

@@ -127,8 +127,10 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
     the whole window out and the term vanishes, so the support is finite.
 
     A term that integrates out a site whose mean is exactly ``0.0`` only adds
-    ``+-0.0`` to its product, so only the other terms are shifted and
-    conditioned, and an index with no such term left is skipped.
+    ``+-0.0`` to its product, so only the other terms are conditioned, and an
+    index with no such term left is skipped.  The norm is shift-invariant and
+    projections commute with shifts, so ``f`` is conditioned at the corner
+    ``-k`` rather than shifted by ``k`` and conditioned at the origin.
     """
     _require_centered(f)
     if f.is_zero:
@@ -138,7 +140,6 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
     kmax = [max((-s[axis] for s in window), default=0) for axis in range(f.dim)]
     if any(k < 1 for k in kmax):
         return {}
-    origin = Corner((0,) * f.dim)
     null_sites = [
         [s for s, m in means.items() if m == 0.0] for _, _, means in f._term_data
     ]
@@ -153,7 +154,7 @@ def maxwell_woodroofe_profile(f: FiniteRangeFunctional) -> dict[Site, float]:
         )
         if not live:
             continue
-        g = cond_expect(FiniteRangeFunctional(f.law, f.dim, live).shift(k), origin)
+        g = cond_expect(FiniteRangeFunctional(f.law, f.dim, live), Corner(tuple(-c for c in k)))
         value = g.norm()
         if value > drop:
             out[k] = value / sqrt(prod(k))

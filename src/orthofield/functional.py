@@ -304,20 +304,22 @@ class FiniteRangeFunctional:
         """The accumulate step of :meth:`integrate_sites`: kept factors -> summed coefficient.
 
         The kept factors of a term stay in their sorted order, so they key the
-        sum without a re-sort.
+        sum without a re-sort.  Each dropped site's mean multiplies the
+        coefficient once, in factor order, which is site order; a shift keeps
+        that order, so every projection of ``f.shift(k)`` is the shift of the
+        projection of ``f`` bit for bit.
         """
         acc: dict[tuple[Factor, ...], float] = {}
         for (coeff, factors), (_, _, means) in zip(self.terms, self._term_data):
             c = coeff
             kept = []
-            dropped = set()
+            last = None  # the last dropped site: a site's factors are adjacent
             for f in factors:
                 if keep(f.site):
                     kept.append(f)
-                else:
-                    dropped.add(f.site)
-            for site in dropped:
-                c *= means[site]
+                elif f.site != last:
+                    last = f.site
+                    c *= means[last]
             key = tuple(kept)
             acc[key] = acc.get(key, 0.0) + c
         return acc
@@ -522,8 +524,8 @@ def json_array(value):
 
 
 def json_int(value) -> int:
-    """``value`` as an integer; a bool or a float with a fractional part is not one."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an integer; a bool, a string or a float with a fractional part is not one."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"need an integer, got {value!r}")
     return int(value)
 

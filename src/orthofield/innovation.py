@@ -18,6 +18,7 @@ from math import prod
 import numpy as np
 
 from .lattice import Rectangle, Site
+from .tolerances import PROB_SUM_TOL
 
 # Exact mode refuses to enumerate more weighted configurations than this.
 ENUM_CAP = 2**24
@@ -35,7 +36,7 @@ class InnovationLaw:
 
     ``values`` are the distinct alphabet points and ``probs`` their
     probabilities; probabilities must be strictly positive and sum to one
-    within 1e-12.
+    within ``PROB_SUM_TOL``.
     """
 
     values: tuple[float, ...]
@@ -52,7 +53,7 @@ class InnovationLaw:
             raise ValueError("alphabet values must be distinct")
         if any(p <= 0.0 for p in self.probs):
             raise ValueError("all probabilities must be positive")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
+        if abs(sum(self.probs) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
 
     @classmethod

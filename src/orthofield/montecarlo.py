@@ -27,11 +27,7 @@ from .dependence import MartingaleKernel, hannan_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, apply_read
 from .innovation import InnovationLaw, sample_region
 from .lattice import Rectangle, Site, prefix_sum
-
-# Declared Monte Carlo slack for population inequalities: 10 percent plus
-# three standard errors of the estimated side.
-MC_SLACK_FACTOR = 1.10
-MC_SLACK_SE = 3.0
+from .tolerances import MC_SLACK_FACTOR, MC_SLACK_SE
 
 # Largest sampled region (grid plus window margin on every side), in cells.
 # One replicate's working set peaks at 32 bytes per cell when every factor is

@@ -13,6 +13,8 @@ from math import sqrt
 
 import numpy as np
 
+from .tolerances import SE_BOUND
+
 # Abramowitz and Stegun 26.2.17: Phi(x) = 1 - phi(x) * poly(1 / (1 + p x)),
 # x >= 0, |error| < 7.5e-8.
 _AS_P = 0.2316419
@@ -83,10 +85,6 @@ def ks_test(samples, cdf, level: float = 0.01) -> TestResult:
     )
 
 
-# A Monte Carlo moment check fails beyond this many standard errors.
-SE_BOUND = 4.0
-
-
 @dataclass(frozen=True)
 class CovarianceRow:
     """Empirical path covariance at one time pair against the sheet kernel target."""
@@ -112,8 +110,8 @@ def sheet_covariance_check(paths, pairs, sigma2: float) -> list[CovarianceRow]:
     :class:`~orthofield.montecarlo.PathSamples`.
     """
     m = paths.replicates
-    if m < 200:
-        raise ValueError(f"need at least 200 paths, got {m}")
+    if m < MIN_KS_SAMPLES:
+        raise ValueError(f"need at least {MIN_KS_SAMPLES} paths, got {m}")
     rows = []
     for s, t in pairs:
         s = tuple(float(c) for c in s)

@@ -26,6 +26,10 @@ name                      value   bound on
 ``PROJECTION_DROP``       1e-12   ``projective_decomposition``: the same, relative to ``f``
 ``DELTA_BOUND_SLACK``     1e-9    ``comparison_report``: slack of each per-site physical
                                   dependence against its closed-form lower bound
+``PROB_SUM_TOL``          1e-12   ``InnovationLaw``: ``|sum(probs) - 1|``
+``SE_BOUND``              4.0     ``verify-clt``: variance and covariance deviations, in SEs
+``MC_SLACK_FACTOR``       1.10    Monte Carlo maximal inequalities: relative slack on the bound
+``MC_SLACK_SE``           3.0     the same: added standard errors of the estimated side
 ========================  ======  ==========================================================
 
 The ``selftest`` report's tolerance column prints ``IDENTITY_TOL``,
@@ -45,3 +49,7 @@ CENTER_RTOL = 1e-12
 TERM_DROP = 1e-14
 PROJECTION_DROP = 1e-12
 DELTA_BOUND_SLACK = 1e-9
+PROB_SUM_TOL = 1e-12
+SE_BOUND = 4.0
+MC_SLACK_FACTOR = 1.10
+MC_SLACK_SE = 3.0

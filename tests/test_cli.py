@@ -220,6 +220,20 @@ def test_csv_requires_out(capsys, monkeypatch):
     assert "--out" in capsys.readouterr().err
 
 
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a suite ran before the tolerance was validated")
+
+    monkeypatch.setattr(cli, "run_all", no_compute)
+    # nan and inf used to be written into report.json, which then was not JSON;
+    # -1 failed every row
+    for value in ("nan", "inf", "-1"):
+        out = tmp_path / value
+        assert main(["selftest", "--tolerance", value, "--out", str(out)]) == 1
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_failed_verification_exits_3(tmp_path, capsys, monkeypatch):
     # a negative tolerance makes the reconstruction residual check fail
     monkeypatch.setattr(coboundary, "RESIDUAL_TOL", -1.0)
@@ -313,7 +327,7 @@ def test_truncation_budget_rejects_before_compute(tmp_path, capsys, monkeypatch)
         raise AssertionError("counterexample started")
 
     monkeypatch.setattr(cli, "comparison_report", no_compute)
-    for depths in ("1000000000", "2,4097", "0,3", "-2"):
+    for depths in ("1000000000", "2,4097", "0,3", "-2", "1.5"):
         out = tmp_path / depths.replace(",", "_")
         assert main(["counterexample", "--truncations", depths, "--out", str(out)]) == 1
         assert "truncations" in capsys.readouterr().err
@@ -437,6 +451,7 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "sample_paths", no_compute)
     monkeypatch.setattr(cli, "comparison_report", no_compute)
+    monkeypatch.setattr(cli, "dependence_profile", no_compute)
     clt = {"dimension": 2, "grids": [[16, 16]], "replicates": 200}
 
     def terms(factor):
@@ -464,6 +479,19 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, monkeypatch):
             "verify-clt",
             {**clt, "functional": {"builtin": "counterexample", "n_max": 2.5}},
         ),
+        # strings of digits used to read as the integers they spell
+        ("dimension", "verify-clt", {**clt, "dimension": "2"}),
+        ("replicates", "verify-clt", {**clt, "replicates": "300"}),
+        ("grids", "verify-clt", {**clt, "grids": [["16", 16]]}),
+        (
+            "functional",
+            "verify-clt",
+            {**clt, "functional": {"builtin": "counterexample", "n_max": "2"}},
+        ),
+        # the suffix takes ASCII digits only: int() read these as 10, 5 and 5
+        ("functional", "describe", {"functional": "counterexample:1_0"}),
+        ("functional", "describe", {"functional": "counterexample: 5"}),
+        ("functional", "describe", {"functional": "counterexample:\u0665"}),
     )
     for k, (key, command, doc) in enumerate(cases):
         cfg = write_config(tmp_path, doc, name=f"bad{k}.json")

@@ -39,9 +39,11 @@ from orthofield.functional import (
 from orthofield.innovation import InnovationLaw
 from orthofield.lattice import unit
 from orthofield.projection import (
+    Corner,
     Halfspace,
     cond_expect,
     project_each,
+    project_full,
     project_line,
     projection_identity_report,
     projective_decomposition,
@@ -94,17 +96,12 @@ def step_shift(f, i):
 
 
 def step_integrate(f, keep):
+    """Multiply each dropped site's mean in once, in sorted site order."""
     items = []
     for (coeff, factors), (_, _, means) in zip(f.terms, f._term_data):
         c = coeff
-        kept = []
-        dropped = set()
-        for x in factors:
-            if keep(x.site):
-                kept.append(x)
-            else:
-                dropped.add(x.site)
-        for site in dropped:
+        kept = [x for x in factors if keep(x.site)]
+        for site in sorted({x.site for x in factors if not keep(x.site)}):
             c *= means[site]
         items.append((c, kept))
     return like(f, items)
@@ -316,6 +313,25 @@ def test_signed_sum_is_the_left_fold(data):
 def test_shift_is_a_relabel_of_the_merged_terms(f, data):
     i = tuple(data.draw(st.integers(-3, 3)) for _ in range(f.dim))
     assert f.shift(i).terms == step_shift(f, i).terms
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=any_functional(), data=st.data())
+def test_projections_commute_with_shifts_bit_for_bit(f, data):
+    """Projecting ``f.shift(k)`` at ``j + k`` is projecting ``f`` at ``j``, shifted, bit for bit."""
+    k = tuple(data.draw(st.integers(-3, 3)) for _ in range(f.dim))
+    j = tuple(data.draw(st.integers(-2, 1)) for _ in range(f.dim))
+    axis = data.draw(st.integers(0, f.dim - 1))
+    g = f.shift(k)
+    jk = tuple(a + b for a, b in zip(j, k))
+    pairs = (
+        (cond_expect(g, Corner(jk)), cond_expect(f, Corner(j))),
+        (cond_expect(g, Halfspace(axis, jk[axis])), cond_expect(f, Halfspace(axis, j[axis]))),
+        (project_line(g, axis, jk[axis]), project_line(f, axis, j[axis])),
+        (project_full(g, jk), project_full(f, j)),
+    )
+    for shifted, unshifted in pairs:
+        assert shifted.terms == unshifted.shift(k).terms
 
 
 @SETTINGS

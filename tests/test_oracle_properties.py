@@ -3,16 +3,17 @@
 Every functional is evaluated (``evaluate``) on every weighted configuration
 of its sites (``enumerate_configs``); a conditional expectation is then the
 weighted mean over the configurations that agree on the kept sites.  Laws
-have 2-6 atoms, dimensions run from 1 to 3 and a window holds at most 4096
-configurations.
+have 2-6 atoms, dimensions run from 1 to 3 (1 to 2 for ``decompose``) and a
+window holds at most 4096 configurations.
 """
 
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orthofield.coboundary import center, decompose, reconstruct
 from orthofield.functional import INDICATOR, POWER, VALUE, Factor, FiniteRangeFunctional
 from orthofield.innovation import InnovationLaw, enumerate_configs
 from orthofield.lattice import leq
@@ -37,10 +38,10 @@ def laws(draw):
 
 
 @st.composite
-def setups(draw):
+def setups(draw, max_dim=3):
     """A law, a dimension and a sorted site list with at most ``MAX_CONFIGS`` configurations."""
     law = draw(laws())
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     most = 1
     while law.size ** (most + 1) <= MAX_CONFIGS:
         most += 1
@@ -157,3 +158,28 @@ def test_every_shift_left_out_of_the_candidates_projects_to_zero(data):
             shifted = [tuple(a + b for a, b in zip(s, i)) for s in sites]
             p0 = projected(values, weights, shifted, origin)
             assert_close(p0, np.zeros(values.shape), scale)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_decompose_matches_enumeration(data):
+    """The components rebuild ``f`` and are martingale differences along their axes."""
+    law, dim, sites = data.draw(setups(max_dim=2))
+    # The sites lie in [-1, 1]^d, so centering puts f into the order-1 band.
+    f = center(data.draw(functionals(law, dim, sites)), 1)
+    assume(not f.is_zero)
+    parts = decompose(f, 1)
+    rebuilt = reconstruct(parts)
+    union = tuple(sorted(set(f.window) | set(rebuilt.window)))
+    assume(law.size ** len(union) <= MAX_CONFIGS)
+    _, (values, got) = enumerated(union, law, f, rebuilt)
+    scale = float(np.abs(values).max())
+    np.testing.assert_allclose(got, values, rtol=0.0, atol=1e-12 * (1.0 + scale))
+    for mask, h in parts.components.items():
+        if h.is_zero or law.size ** len(h.window) > MAX_CONFIGS:
+            continue
+        weights, (hv,) = enumerated(h.window, law, h)
+        for axis in range(dim):
+            if mask >> axis & 1:
+                one_step = conditioned(hv, weights, h.window, lambda s: s[axis] <= -1)
+                np.testing.assert_allclose(one_step, 0.0, rtol=0.0, atol=1e-12 * (1.0 + scale))
