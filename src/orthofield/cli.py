@@ -83,9 +83,10 @@ _KNOWN_KEYS = {field.name for field in fields(ExperimentConfig)} - {"doc"}
 
 
 def _builtin_functional(name: str, params: dict, law: InnovationLaw, dim: int):
-    if name.startswith("counterexample"):
-        if ":" in name:
-            n_max = _parse("functional", _digits, name.split(":", 1)[1])
+    base, colon, depth = name.partition(":")
+    if base == "counterexample":
+        if colon:
+            n_max = _parse("functional", _digits, depth)
         else:
             n_max = json_int(params.get("n_max", 3))
         f = truncated_martingale(n_max, law)
@@ -180,6 +181,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if replicates < 1:
         raise ConfigError("replicates: must be positive")
     seed = _parse("seed", json_int, raw.get("seed", DEFAULT_SEED))
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed: must be in [0, 2^64), got {seed}")
     t_resolution = _parse("t_resolution", json_int, raw.get("t_resolution", 4))
     if t_resolution < 1:
         raise ConfigError("t_resolution: must be at least 1")
@@ -493,10 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="JSON experiment configuration")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", help="override the config seed")
     parser.add_argument("--out", help="output directory (stdout when omitted)")
     parser.add_argument("--format", choices=("csv", "json"), default="json")
-    parser.add_argument("--replicates", type=int, help="override the config replicate count")
+    parser.add_argument("--replicates", help="override the config replicate count")
     parser.add_argument(
         "--truncations", help="comma-separated truncation depths for counterexample"
     )
@@ -513,10 +516,9 @@ def main(argv=None) -> int:
         return 1
     try:
         raw = _load_raw_config(args.config)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.replicates is not None:
-            raw["replicates"] = args.replicates
+        for key in ("seed", "replicates"):
+            if getattr(args, key) is not None:
+                raw[key] = _parse(key, _digits, getattr(args, key))
         if args.truncations is not None:
             raw["truncations"] = _parse(
                 "truncations", lambda v: [_digits(n) for n in v.split(",") if n], args.truncations

@@ -13,7 +13,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import ceil, prod
 
 import numpy as np
 
@@ -155,27 +155,34 @@ class FieldSample:
 
 
 @lru_cache(maxsize=256)
-def _inverse_cdf_table(law: InnovationLaw) -> tuple[tuple[float, ...], np.ndarray]:
-    """The bin edges (cumulative probabilities but the last) and value array of ``law``."""
+def _inverse_cdf_table(law: InnovationLaw) -> tuple[tuple[np.uint64, ...], np.ndarray]:
+    """The raw-word thresholds of the bin edges of ``law`` and its value array.
+
+    An edge ``c`` (a cumulative probability but the last) becomes the 64-bit
+    threshold ``ceil(c 2^53) << 11``: a word ``w`` reaches it exactly when the
+    double ``(w >> 11) 2^-53`` reaches ``c``.  An edge no such double reaches
+    (``ceil(c 2^53) >= 2^53``) is dropped.
+    """
     values = np.asarray(law.values, dtype=np.float64)
     values.setflags(write=False)
-    return tuple(np.cumsum(law.probs[:-1]).tolist()), values
+    steps = (ceil(c * 2.0**53) for c in np.cumsum(law.probs[:-1]).tolist())
+    return tuple(np.uint64(k << 11) for k in steps if k < 2**53), values
 
 
 _ZEROS4 = np.zeros(4, dtype=np.uint64)
 _local = threading.local()
 
 
-def _stream(key: tuple[int, int]) -> np.random.Generator:
-    """This thread's generator, set to the fresh state of ``Philox(key=key)``.
+def _stream(key: tuple[int, int]) -> np.random.Philox:
+    """This thread's bit generator, set to the fresh state of ``Philox(key=key)``.
 
     The state is the one a new ``Philox`` with this key starts from: counter,
     buffer and cached 32-bit word at zero, buffer empty.
     """
     rng = getattr(_local, "rng", None)
     if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
+        rng = _local.rng = np.random.Philox(0)
+    rng.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZEROS4, "key": np.array(key, dtype=np.uint64)},
         "buffer": _ZEROS4,
@@ -194,14 +201,15 @@ def sample_region(
     The draw starts from the fresh ``(key, counter 0)`` state of the stream on
     this thread's generator, so it equals a draw from a new
     ``Philox(key=stream_key(seed, replicate, region))`` and concurrent
-    replicates share no state.
+    replicates share no state.  Each site takes one 64-bit word ``w`` in
+    row-major order, the word ``Generator.random`` turns into ``(w >> 11) 2^-53``.
     """
-    u = _stream(stream_key(seed, replicate, region)).random(region.shape)
-    edges, table = _inverse_cdf_table(law)
-    # Inverse CDF: the alphabet index is the number of cumulative bin edges <= u.
-    # The last edge (1 up to rounding) is never counted, since u < 1.
-    if len(edges) == 1:
-        idx = (u >= edges[0]).view(np.uint8)
+    w = _stream(stream_key(seed, replicate, region)).random_raw(region.shape)
+    thresholds, table = _inverse_cdf_table(law)
+    # Inverse CDF: the alphabet index is the number of bin edges <= the word's
+    # uniform double, that is, of thresholds <= w.
+    if len(thresholds) == 1:
+        idx = (w >= thresholds[0]).view(np.uint8)
     else:
-        idx = sum(u >= c for c in edges)
+        idx = sum((w >= t for t in thresholds), np.zeros(w.shape, np.intp))
     return FieldSample(table.take(idx))

@@ -49,16 +49,23 @@ class Rectangle:
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
 
-def prefix_sum(src: np.ndarray) -> np.ndarray:
+def prefix_sum(src: np.ndarray, batch_axes: int = 0) -> np.ndarray:
     """The running sums of a dense array indexed over ``[1, n]``: entry ``m - 1`` is ``S_m``.
 
-    Runs one cumulative sum per axis, so the cost is ``O(d * |n|)`` with
-    64-bit float accumulation.
+    The first ``batch_axes`` axes index independent arrays and are not summed.
+    Runs one cumulative sum per summed axis, in axis order, so the cost is
+    ``O(d * |n|)`` with 64-bit float accumulation.  When the innermost length
+    is even, every axis but the innermost is summed on a ``complex128`` view:
+    each complex add is the two double adds of two neighbouring columns, so the
+    sums are those of the plain per-axis ``np.cumsum``, bit for bit.
     """
-    arr = np.asarray(src, dtype=np.float64)
-    if arr.ndim < 1:
-        raise ValueError("source array must have at least one axis")
-    out = np.cumsum(arr, axis=0)
-    for axis in range(1, arr.ndim):
-        np.cumsum(out, axis=axis, out=out)
+    arr = np.ascontiguousarray(src, dtype=np.float64)
+    if arr.ndim <= batch_axes:
+        raise ValueError("source array must have at least one axis past the batch axes")
+    out = np.empty_like(arr)
+    paired = np.complex128 if arr.shape[-1] % 2 == 0 else np.float64
+    for axis in range(batch_axes, arr.ndim):
+        lanes = paired if axis < arr.ndim - 1 else np.float64
+        np.cumsum(arr.view(lanes), axis=axis, out=out.view(lanes))
+        arr = out
     return out

@@ -1,18 +1,21 @@
 """Seeded simulation of partial-sum and orthomartingale fields with maximal statistics.
 
 Every replicate derives its own innovation stream from ``(seed, replicate)``,
-draws its sample once (:func:`_replicate`, the one per-replicate kernel) and
-evaluates the field and its orthomartingale approximation on that sample, so
-pathwise comparisons are genuinely coupled.  What does not change within a
-grid is built once per grid: :func:`_fold` turns each functional into a read
-plan (the array slice every factor reads), so a replicate costs the draw and
-the reads, and each statistic then takes only the sums it needs: a prefix sum
-for the maximal checks, and for :func:`sample_paths` block sums at the path
-points plus one prefix sum of ``f - d0`` for the gap.  Aggregation folds
-replicates in index order, which makes every statistic a pure function of
-``(functional, grid, seed, replicates)``.  Replicates run one after another;
-only :func:`sample_paths` can run several at once, which changes wall time and
-never a result.
+draws its sample once and evaluates the field and its orthomartingale
+approximation on that sample (:func:`_replicates`, the one simulation
+kernel), so pathwise comparisons are genuinely coupled.  What does not change
+within a grid is built once per grid: :func:`_fold` turns each functional into
+a read plan (the array slice every factor reads), so a replicate costs the
+draw and the reads, and each statistic then takes only the sums it needs: a
+prefix sum for the maximal checks, and for :func:`sample_paths` block sums at
+the path points plus one prefix sum of ``f - d0`` for the gap.  Replicates
+run in batches stacked on a leading axis (``BATCH_CELLS``), so a small grid
+pays the per-call overhead once a batch; every sum and maximum runs over one
+replicate's own axes in the same order as alone, so no bit depends on the
+batch.  Results join in replicate order, which makes every statistic a pure
+function of ``(functional, grid, seed, replicates)``.  Batches run one after
+another; only :func:`sample_paths` can run several at once, which changes wall
+time and never a result.
 """
 
 from __future__ import annotations
@@ -30,19 +33,29 @@ from .lattice import Rectangle, Site, prefix_sum
 from .tolerances import MC_SLACK_FACTOR, MC_SLACK_SE
 
 # Largest sampled region (grid plus window margin on every side), in cells.
-# One replicate's working set peaks at 32 bytes per cell when every factor is
-# a value read (the innovations, the field's values, the kernel's values and
-# one term buffer, while the kernel is evaluated) and near 41 with an
-# indicator read, which adds its float copy (tracemalloc at 1024^2, in
-# sample_paths and cairoli_ratio alike), so 2**22 cells hold it in at most
-# about 165 MiB.  The README configs sample at most 132^2 cells.
+# Such a replicate is a batch of one, whose working set peaks at 32 bytes per
+# cell when every factor is a value read (the innovations, the field's values,
+# the kernel's values and one term buffer, while the kernel is evaluated) and
+# near 41 with an indicator read, which adds its float copy (tracemalloc at
+# 1024^2, in sample_paths and cairoli_ratio alike), so 2**22 cells hold it in
+# at most about 165 MiB.  The README configs sample at most 132^2 cells.
 MAX_SAMPLE_CELLS = 2**22
+
+# Sampled cells in one batch of replicates (a larger replicate is a batch of
+# one).  A full batch peaks at 40 to 46 bytes per cell, 0.65 to 0.71 MiB
+# (tracemalloc at 16^2: 50 replicates of 18^2 cells); 2**16 ran slower.
+BATCH_CELLS = 2**14
 
 # Most path values ``sample_paths`` may hold for one grid: ``replicates``
 # paths, each with one 8-byte value per point of the ``(t_resolution + 1)^d``
 # time grid, so 2**24 values are 128 MiB.  The README configs hold at most
 # 2000 * 5^2 = 50000.
 MAX_PATH_VALUES = 2**24
+
+
+def _max_per_replicate(m: np.ndarray) -> np.ndarray:
+    """The maximum over each replicate's grid, for a batch on the leading axis."""
+    return m.reshape(len(m), -1).max(axis=1)
 
 
 def window_radius(f: FiniteRangeFunctional) -> int:
@@ -74,13 +87,14 @@ def _read_plan(f: FiniteRangeFunctional, region: Rectangle, n: Site) -> tuple:
     """Where every factor of ``f`` reads a sample of ``region`` for the grid points of ``[1, n]``.
 
     One ``(coeff, ((slices, kind, arg), ...))`` per term, in term and factor
-    order: ``values[slices]`` holds the factor's site at every grid point.
+    order: ``values[slices]`` holds the factor's site at every grid point, for
+    every sample of a batch stacked on the leading axes of ``values``.
     """
     lo = region.lo
 
     def reads(factors) -> tuple:
         return tuple(
-            (tuple(slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(site, lo, n)), kind, arg)
+            ((..., *(slice(s - l + 1, s - l + 1 + nq) for s, l, nq in zip(site, lo, n))), kind, arg)
             for site, kind, arg in factors
         )
 
@@ -90,11 +104,12 @@ def _read_plan(f: FiniteRangeFunctional, region: Rectangle, n: Site) -> tuple:
 def _grid_values(plan: tuple, values: np.ndarray, n: Site) -> np.ndarray:
     """Evaluate the shifted functional of ``plan`` at every grid point of ``[1, n]``.
 
+    ``values`` is a batch of samples on its leading axis, and so is the result.
     Each term is ``coeff`` times its first read, then times each later read in
     place, added to a zero array in term order.
     """
-    out = np.zeros(n)
-    term = np.empty(n)
+    out = np.zeros((len(values), *n))
+    term = np.empty_like(out)
     for coeff, reads in plan:
         if not reads:
             out += coeff
@@ -107,42 +122,53 @@ def _grid_values(plan: tuple, values: np.ndarray, n: Site) -> np.ndarray:
     return out
 
 
-def _replicate(
+def _replicates(
     f_plan: tuple,
     d0_plan: tuple | None,
     law: InnovationLaw,
     region: Rectangle,
     n: Site,
     seed: int,
-    r: int,
+    batch: range,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The per-replicate kernel: one innovation draw feeds the field and its orthomartingale.
+    """The simulation kernel: each replicate's one draw feeds the field and its orthomartingale.
 
-    Samples ``region`` (which is ``sample_rect(f, n)``) once for replicate
-    ``r`` and returns the field's values ``x`` on ``[1, n]`` (``x[i - 1]`` is
-    ``f`` shifted to ``i``) and, when the kernel's plan ``d0_plan`` is given,
-    the orthomartingale's increments ``y`` on the same sample (``None``
-    otherwise); ``prefix_sum`` of either gives its partial sums.  The plans are
+    Samples ``region`` (which is ``sample_rect(f, n)``) once for each replicate
+    ``batch[b]`` and returns the field's values ``x`` on ``[1, n]`` (``x[b, i - 1]``
+    is ``f`` shifted to ``i``) and, when the kernel's plan ``d0_plan`` is given,
+    the orthomartingale's increments ``y`` on the same samples (``None``
+    otherwise); ``prefix_sum(x, 1)`` gives the partial sums.  The plans are
     :func:`_read_plan` of ``f`` and ``d0`` on ``region``.
     """
-    values = sample_region(region, law, seed, r).values
+    samples = [sample_region(region, law, seed, r).values for r in batch]
+    values = samples[0][None] if len(samples) == 1 else np.stack(samples)
     x = _grid_values(f_plan, values, n)
     return x, None if d0_plan is None else _grid_values(d0_plan, values, n)
 
 
-def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> list:
-    """``stat(x, y)`` of the grid values of every replicate's single draw, in replicate order."""
+def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> tuple:
+    """``stat(x, y)`` of the grid values of every replicate's single draw, in replicate order.
+
+    ``stat`` takes a batch of replicates on the leading axis of ``x`` and ``y``
+    and returns a tuple of arrays with one entry per replicate on their leading
+    axis; each is joined over the batches.  A batch holds as many replicates as
+    fit ``BATCH_CELLS`` sampled cells, and at least one.
+    """
     region = sample_rect(f, n)
     f_plan = _read_plan(f, region, n)
     d0_plan = None if d0 is None else _read_plan(d0, region, n)
+    size = max(1, BATCH_CELLS // prod(region.shape))
+    batches = [range(r, min(r + size, replicates)) for r in range(0, replicates, size)]
 
-    def one(r: int):
-        return stat(*_replicate(f_plan, d0_plan, f.law, region, n, seed, r))
+    def one(batch: range):
+        return stat(*_replicates(f_plan, d0_plan, f.law, region, n, seed, batch))
 
     if threads <= 1:
-        return [one(r) for r in range(replicates)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(replicates)))
+        parts = [one(b) for b in batches]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(one, batches))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @dataclass(frozen=True)
@@ -201,16 +227,14 @@ def cairoli_ratio(f: FiniteRangeFunctional, n: Site, replicates: int, seed: int)
     bound = (p / (p - 1.0)) ** (len(n) * p)
     corner = tuple(c - 1 for c in n)
 
-    def stat(x, y) -> tuple[float, float]:
-        m = prefix_sum(y)
-        return float(np.max(np.abs(m)) ** p), float(abs(m[corner]) ** p)
+    def stat(x, y) -> tuple[np.ndarray, np.ndarray]:
+        m = np.abs(prefix_sum(y, 1))
+        return _max_per_replicate(m) ** p, m[(..., *corner)] ** p
 
-    pairs = _fold(stat, f, kernel.d0, n, replicates, seed)
-    num = np.asarray([a for a, _ in pairs])
-    den = np.asarray([b for _, b in pairs])
+    num, den = _fold(stat, f, kernel.d0, n, replicates, seed)
     ratio = float(num.mean() / den.mean())
     # Delta-method standard error of a ratio of dependent means.
-    r_reps = len(pairs)
+    r_reps = len(num)
     cov = np.cov(num, den, ddof=1)
     grad = np.array([1.0 / den.mean(), -num.mean() / den.mean() ** 2])
     se = float(sqrt(max(grad @ cov @ grad, 0.0) / r_reps))
@@ -249,11 +273,9 @@ def uniform_integrability_diagnostic(
     for n in n_list:
         n = tuple(int(c) for c in n)
         norm = sqrt(prod(n))
-        y = np.asarray(
-            _fold(
-                lambda x, y: float(np.max(np.abs(prefix_sum(y)))) / norm,
-                f, kernel.d0, n, replicates, seed,
-            )
+        (y,) = _fold(
+            lambda x, y: (_max_per_replicate(np.abs(prefix_sum(y, 1))) / norm,),
+            f, kernel.d0, n, replicates, seed,
         )
         y2 = y**2
         for a in levels:
@@ -286,8 +308,8 @@ def maximal_inequality_check(
     """Compare ``|| max_m S_m ||_2`` against ``2^d |n|^(1/2)`` times the Hannan sum."""
     n = tuple(int(c) for c in n)
     rhs = 2 ** len(n) * sqrt(prod(n)) * sum(hannan_profile(f).values())
-    v = np.asarray(
-        _fold(lambda x, y: float(np.max(prefix_sum(x))) ** 2, f, None, n, replicates, seed)
+    (v,) = _fold(
+        lambda x, y: (_max_per_replicate(prefix_sum(x, 1)) ** 2,), f, None, n, replicates, seed
     )
     mean = float(v.mean())
     lhs = sqrt(max(mean, 0.0))
@@ -352,8 +374,8 @@ def sample_paths(
     replicate's gap ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, read
     from one prefix sum of the values of ``f - d0``, so one pass over the
     replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
-    ``threads`` replicates run at once; the samples do not depend on it.  The
-    benchmark's traced ``clt_2d`` run times this function at 1 and 2 threads.
+    ``threads`` batches of replicates run at once; the samples do not depend on
+    it.  The benchmark's traced ``clt_2d`` run times this at 1 and 2 threads.
     """
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)
@@ -370,17 +392,16 @@ def sample_paths(
     at = [np.searchsorted(c, col) for c, col in zip(cuts, k.T)]
     flat = np.ravel_multi_index(at, [len(c) for c in cuts], mode="clip")
 
-    def stat(x, y) -> tuple[np.ndarray, float | None]:
-        blocks = x[head]
-        for axis, idx in enumerate(starts):
+    def stat(x, y) -> tuple[np.ndarray, ...]:
+        blocks = x[(..., *head)]
+        for axis, idx in enumerate(starts, 1):
             blocks = np.add.reduceat(blocks, idx, axis=axis)
-        row = np.where(live, prefix_sum(blocks).ravel()[flat], 0.0) / norm
+        rows = np.where(live, prefix_sum(blocks, 1).reshape(len(x), -1)[:, flat], 0.0) / norm
         if y is None:
-            return row, None
-        gap = prefix_sum(np.subtract(x, y, out=y))
-        return row, float(np.abs(gap, out=gap).max()) / norm
+            return (rows,)
+        gap = prefix_sum(np.subtract(x, y, out=y), 1)
+        return rows, _max_per_replicate(np.abs(gap, out=gap)) / norm
 
     d0 = None if kernel is None else kernel.d0
-    rows, gaps = zip(*_fold(stat, f, d0, n, replicates, seed, threads))
-    values = np.ascontiguousarray(np.stack(rows).T)
-    return PathSamples(n, grid, values, None if kernel is None else np.array(gaps))
+    rows, *gaps = _fold(stat, f, d0, n, replicates, seed, threads)
+    return PathSamples(n, grid, np.ascontiguousarray(rows.T), gaps[0] if gaps else None)

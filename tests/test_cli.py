@@ -540,6 +540,44 @@ def test_seed_and_replicates_overrides(tmp_path):
     assert section(report, "ks")["rows"][0][4] == 320
 
 
+def test_seed_and_replicates_read_ascii_digits_in_range(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr(cli, "sample_paths", no_compute)
+    doc = {"dimension": 1, "functional": "identity", "grids": [[64]], "replicates": 200}
+    cases = (
+        # int() read these as 10, 5 and 300
+        ("seed", {}, ["--seed", "1_0"]),
+        ("seed", {}, ["--seed", "\u0665"]),
+        ("replicates", {}, ["--replicates", "3_00"]),
+        ("replicates", {}, ["--replicates", "\u0663\u0660\u0660"]),
+        ("replicates", {}, ["--replicates", "-5"]),
+        # stream_key keeps the low 64 bits: -1 drew the streams of 2^64 - 1 and 2^64 those of 0
+        ("seed", {}, ["--seed", "-1"]),
+        ("seed", {}, ["--seed", str(2**64)]),
+        ("seed", {"seed": -1}, []),
+        ("seed", {"seed": 2**64}, []),
+        ("seed", {"seed": 2**70}, []),
+    )
+    for k, (key, overrides, args) in enumerate(cases):
+        cfg = write_config(tmp_path, {**doc, **overrides}, name=f"c{k}.json")
+        out = tmp_path / f"x{k}"
+        assert main(["verify-clt", "--config", cfg, *args, "--out", str(out)]) == 1, args
+        assert capsys.readouterr().err.startswith(f"error: {key}: "), (overrides, args)
+        assert not out.exists()
+    assert resolve_config({**doc, "seed": 2**64 - 1}).seed == 2**64 - 1
+    assert resolve_config({**doc, "seed": 0}).seed == 0
+
+
+def test_builtin_names_are_exact(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"functional": "counterexample_oops"})
+    assert main(["describe", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+    assert "unknown builtin" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert resolve_config({"functional": "counterexample"}).functional.terms
+
+
 def test_resolve_config_defaults():
     cfg = resolve_config({})
     assert cfg.dimension == 1

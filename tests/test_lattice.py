@@ -3,6 +3,8 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthofield.lattice import Rectangle, leq, prefix_sum, unit
 
@@ -33,6 +35,26 @@ def brute_rect_sum(src, lo, hi):
     for idx in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         total += src[tuple(i - 1 for i in idx)]
     return total
+
+
+# Non-dyadic values (sums round) and both signed zeros (a sum of -0.0s stays -0.0).
+ENTRIES = st.sampled_from((0.1, -0.3, 0.7, 1e-17, -2.5, 1 / 3, 0.0, -0.0, 5e15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), batch_axes=st.integers(0, 1))
+def test_prefix_sum_is_the_per_axis_cumsum_bit_for_bit(data, dim, batch_axes):
+    # Even innermost lengths take the paired-lane path, odd ones the plain one.
+    shape = tuple(data.draw(st.integers(1, 5)) for _ in range(batch_axes + dim))
+    src = np.array(
+        data.draw(st.lists(ENTRIES, min_size=prod(shape), max_size=prod(shape)))
+    ).reshape(shape)
+    expected = src
+    for axis in range(batch_axes, src.ndim):
+        expected = np.cumsum(expected, axis=axis)
+    got = prefix_sum(src, batch_axes)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_leq_examples():

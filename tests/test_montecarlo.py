@@ -13,7 +13,7 @@ from orthofield.montecarlo import (
     MAX_SAMPLE_CELLS,
     GapStatistic,
     _read_plan,
-    _replicate,
+    _replicates,
     cairoli_ratio,
     maximal_inequality_check,
     sample_paths,
@@ -29,8 +29,8 @@ def sums(f, n, seed, r, coupled=False):
     """The field's partial sums of replicate ``r`` and, if ``coupled``, its orthomartingale's."""
     region = sample_rect(f, n)
     d0_plan = _read_plan(martingale_kernel(f).d0, region, n) if coupled else None
-    x, y = _replicate(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, r)
-    return prefix_sum(x), None if y is None else prefix_sum(y)
+    x, y = _replicates(_read_plan(f, region, n), d0_plan, f.law, region, n, seed, range(r, r + 1))
+    return prefix_sum(x[0]), None if y is None else prefix_sum(y[0])
 
 
 def innovations(f, n, seed, r):
@@ -221,12 +221,13 @@ def test_sample_paths_thread_equivalence():
 def test_paths_below_one_read_no_cell_past_the_last_cut(monkeypatch, n):
     # Dyadic values make every summation order exact, so the block sums equal
     # the gather from the full prefix sum; NaN past the largest cut floor(0.55 n)
-    # shows those cells are never summed.
+    # of each grid axis (behind the leading batch axis) shows those cells are
+    # never summed.
     grid_values = montecarlo._grid_values
 
     def poisoned(plan, values, m):
         x = grid_values(plan, values, m)
-        for axis, c in enumerate(m):
+        for axis, c in enumerate(m, 1):
             x[(slice(None),) * axis + (slice(math.floor(0.55 * c), None),)] = np.nan
         return x
 

@@ -12,14 +12,14 @@ what the package computes from its single draw.
 
 import hashlib
 import json
-from math import floor, prod, sqrt
+from math import ceil, floor, prod, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthofield import montecarlo
+from orthofield import innovation, montecarlo
 from orthofield.cli import main
 from orthofield.dependence import martingale_kernel
 from orthofield.functional import INDICATOR, POWER, VALUE, Factor, FiniteRangeFunctional, constant
@@ -68,14 +68,27 @@ PINNED_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
-def test_verify_clt_report_bytes_are_pinned(tmp_path, name):
-    doc, digest = PINNED_REPORTS[name]
+def report_digest(tmp_path, doc):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["verify-clt", "--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_verify_clt_report_bytes_are_pinned(tmp_path, name):
+    doc, digest = PINNED_REPORTS[name]
+    assert report_digest(tmp_path, doc) == digest
+
+
+@pytest.mark.parametrize("batch_cells", [1, 2**20])
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report_bytes_do_not_depend_on_the_batch(tmp_path, monkeypatch, name, batch_cells):
+    # One replicate per batch, and every replicate of a grid in one batch.
+    monkeypatch.setattr(montecarlo, "BATCH_CELLS", batch_cells)
+    doc, digest = PINNED_REPORTS[name]
+    assert report_digest(tmp_path, doc) == digest
 
 
 def test_verify_clt_draws_each_replicate_once(tmp_path, monkeypatch):
@@ -190,6 +203,41 @@ def reference_path_point(x, grid, n, k):
     for axis, c in enumerate(cuts):
         blocks = np.add.reduceat(blocks, [0] + c[:-1], axis=axis)
     return float(cumsum_each_axis(blocks)[tuple(c.index(kq) for c, kq in zip(cuts, k))])
+
+
+# The last edge 0.1 + 0.9 (or 1.0) rounds to 1.0, which no uniform double
+# reaches; the edges 0.25, 0.5 and 0.75 lie on the 2^-53 grid, so a uniform
+# double can equal one.
+EDGE_LAWS = (
+    InnovationLaw((-1.0, 0.0, 2.0), (0.1, 0.9, 1e-17)),
+    InnovationLaw((-1.0, 2.0), (1.0, 1e-17)),
+    InnovationLaw((-1.0, 0.0, 2.0, 3.0), (0.25, 0.25, 0.25, 0.25)),
+)
+
+
+@pytest.mark.parametrize("law", EDGE_LAWS)
+def test_threshold_draw_matches_searchsorted_at_its_edges(monkeypatch, law):
+    region = Rectangle((0, 0), (63, 63))
+    for seed, r in ((1, 0), (2**64 - 1, 7)):
+        expected = searchsorted_draw(law, seed, r, region)
+        assert np.array_equal(sample_region(region, law, seed, r).values, expected)
+    # Words on both sides of every edge c: the uniform double (w >> 11) 2^-53
+    # equals c when w >> 11 is c 2^53, which a random stream hits too rarely to test.
+    steps = [ceil(c * 2**53) + d for c in np.cumsum(law.probs[:-1]) for d in (-1, 0, 1)]
+    words = np.array(
+        [k << 11 | low for k in steps if k < 2**53 for low in (0, 2047)], dtype=np.uint64
+    )
+
+    class Words:
+        def random_raw(self, shape):
+            return words.reshape(shape)
+
+    monkeypatch.setattr(innovation, "_stream", lambda key: Words())
+    got = sample_region(Rectangle((0,), (len(words) - 1,)), law, seed=0).values
+    u = (words >> np.uint64(11)) * 2.0**-53
+    cum = np.cumsum(law.probs)
+    cum[-1] = 1.0
+    assert np.array_equal(got, np.asarray(law.values)[np.searchsorted(cum, u, side="right")])
 
 
 # -- properties --------------------------------------------------------------------
