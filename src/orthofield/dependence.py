@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod, sqrt
 
-import numpy as np
-
+from ._lazy import np
 from .functional import Factor, FiniteRangeFunctional
 from .lattice import Site
 from .projection import (

@@ -17,8 +17,7 @@ from functools import cached_property, lru_cache
 from math import prod, sqrt
 from typing import Callable, Iterable
 
-import numpy as np
-
+from ._lazy import np
 from .innovation import Configuration, InnovationLaw, check_enum_cap
 from .lattice import Site
 from .tolerances import DEVIATION_BUDGET, TABLE_TOL

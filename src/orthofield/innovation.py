@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, prod
 
-import numpy as np
-
+from ._lazy import np
 from .lattice import Rectangle, Site
 from .tolerances import PROB_SUM_TOL
 
@@ -169,7 +168,8 @@ def _inverse_cdf_table(law: InnovationLaw) -> tuple[tuple[np.uint64, ...], np.nd
     return tuple(np.uint64(k << 11) for k in steps if k < 2**53), values
 
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
+# Plain ints, built without numpy: the state setter reads each entry as a uint64.
+_ZEROS4 = (0, 0, 0, 0)
 _local = threading.local()
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 Site = tuple[int, ...]
 

@@ -13,19 +13,15 @@ run in batches stacked on a leading axis (``BATCH_CELLS``), so a small grid
 pays the per-call overhead once a batch; every sum and maximum runs over one
 replicate's own axes in the same order as alone, so no bit depends on the
 batch.  Results join in replicate order, which makes every statistic a pure
-function of ``(functional, grid, seed, replicates)``.  Batches run one after
-another; only :func:`sample_paths` can run several at once, which changes wall
-time and never a result.
+function of ``(functional, grid, seed, replicates)``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import floor, prod, sqrt
 
-import numpy as np
-
+from ._lazy import np
 from .dependence import MartingaleKernel, hannan_profile, martingale_kernel
 from .functional import FiniteRangeFunctional, apply_read
 from .innovation import InnovationLaw, sample_region
@@ -146,28 +142,26 @@ def _replicates(
     return x, None if d0_plan is None else _grid_values(d0_plan, values, n)
 
 
-def _fold(stat, f, d0, n: Site, replicates: int, seed: int, threads: int = 1) -> tuple:
+def _fold(stat, f, d0, n: Site, replicates: int, seed: int) -> tuple:
     """``stat(x, y)`` of the grid values of every replicate's single draw, in replicate order.
 
     ``stat`` takes a batch of replicates on the leading axis of ``x`` and ``y``
     and returns a tuple of arrays with one entry per replicate on their leading
     axis; each is joined over the batches.  A batch holds as many replicates as
-    fit ``BATCH_CELLS`` sampled cells, and at least one.
+    fit ``BATCH_CELLS`` sampled cells, and at least one.  Raises ``ValueError``
+    unless ``seed`` is an integer in ``[0, 2^64)`` and ``replicates`` a positive
+    integer: every Monte Carlo entry point checks its request here.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 1:
+        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     region = sample_rect(f, n)
     f_plan = _read_plan(f, region, n)
     d0_plan = None if d0 is None else _read_plan(d0, region, n)
     size = max(1, BATCH_CELLS // prod(region.shape))
-    batches = [range(r, min(r + size, replicates)) for r in range(0, replicates, size)]
-
-    def one(batch: range):
-        return stat(*_replicates(f_plan, d0_plan, f.law, region, n, seed, batch))
-
-    if threads <= 1:
-        parts = [one(b) for b in batches]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, batches))
+    batches = (range(r, min(r + size, replicates)) for r in range(0, replicates, size))
+    parts = [stat(*_replicates(f_plan, d0_plan, f.law, region, n, seed, b)) for b in batches]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -374,8 +368,8 @@ def sample_paths(
     replicate's gap ``max_m |S_m - M_m| / |n|^(1/2)`` of its own draw, read
     from one prefix sum of the values of ``f - d0``, so one pass over the
     replicates yields both the paths and :meth:`GapStatistic.of` their gaps.
-    ``threads`` batches of replicates run at once; the samples do not depend on
-    it.  The benchmark's traced ``clt_2d`` run times this at 1 and 2 threads.
+    ``threads`` changes nothing, since batches run one after another; it stays
+    while the benchmark's traced ``clt_2d`` run times this at 1 and 2 threads.
     """
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)
@@ -403,5 +397,5 @@ def sample_paths(
         return rows, _max_per_replicate(np.abs(gap, out=gap)) / norm
 
     d0 = None if kernel is None else kernel.d0
-    rows, *gaps = _fold(stat, f, d0, n, replicates, seed, threads)
+    rows, *gaps = _fold(stat, f, d0, n, replicates, seed)
     return PathSamples(n, grid, np.ascontiguousarray(rows.T), gaps[0] if gaps else None)

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+from ._lazy import np
 
 # Dense rows joined into one chunk; bounds the text a writer holds at a time.
 CHUNK_ROWS = 4096

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
-import numpy as np
-
+from ._lazy import np
 from .tolerances import SE_BOUND
 
 # Abramowitz and Stegun 26.2.17: Phi(x) = 1 - phi(x) * poly(1 / (1 + p x)),

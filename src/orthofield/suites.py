@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .coboundary import center, decompose
 from .dependence import martingale_kernel, tail_sum_inequality
 from .functional import (

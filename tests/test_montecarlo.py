@@ -204,17 +204,55 @@ def test_oversized_grid_rejected_before_sampling(monkeypatch):
         sample_paths(f, (side + 1, side), uniform_grid(2, 1), replicates=2, seed=1)
 
 
-def test_sample_paths_thread_equivalence():
-    # perfbench's traced clt_2d run times sample_paths(threads=1) against
-    # sample_paths(threads=2); the two must sample the same paths and gaps.
+ENTRY_POINTS = {
+    "sample_paths": lambda f, replicates, seed: sample_paths(
+        f, (4, 4), uniform_grid(2, 1), replicates, seed
+    ),
+    "cairoli_ratio": lambda f, replicates, seed: cairoli_ratio(f, (4, 4), replicates, seed),
+    "uniform_integrability_diagnostic": lambda f, replicates, seed: (
+        uniform_integrability_diagnostic(f, [(4, 4)], [1.0], replicates, seed)
+    ),
+    "maximal_inequality_check": lambda f, replicates, seed: (
+        maximal_inequality_check(f, (4, 4), replicates, seed)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "replicates, seed, field",
+    [
+        (5, -1, "seed"),
+        (5, 2**64, "seed"),
+        (5, 1.0, "seed"),
+        (5, True, "seed"),
+        (0, 1, "replicates"),
+        (-3, 1, "replicates"),
+        (2.0, 1, "replicates"),
+        (True, 1, "replicates"),
+    ],
+)
+def test_monte_carlo_entry_points_refuse_bad_seed_and_replicates(
+    monkeypatch, entry, replicates, seed, field
+):
+    # Each entry point goes through _fold, which refuses before anything is
+    # sampled: no seed outside [0, 2^64) replays the streams of another seed,
+    # and no replicate count reaches the batch loop unchecked.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
     f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
-    grid = uniform_grid(2, 2)
-    kernel = martingale_kernel(f)
-    one = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=1, kernel=kernel)
-    two = sample_paths(f, (8, 8), grid, replicates=40, seed=18, threads=2, kernel=kernel)
-    assert np.array_equal(one.values, two.values)
-    assert np.array_equal(one.gaps, two.gaps)
-    assert one.gaps.shape == (40,)
+    monkeypatch.setattr(montecarlo, "sample_region", no_sampling)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ENTRY_POINTS[entry](f, replicates, seed)
+
+
+def test_monte_carlo_entry_points_take_the_range_ends():
+    f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
+    for entry in ENTRY_POINTS.values():
+        entry(f, 2, 0)
+        entry(f, 2, 2**64 - 1)
+    assert sample_paths(f, (4, 4), uniform_grid(2, 1), 1, 0).replicates == 1
 
 
 @pytest.mark.parametrize("n", [(11,), (10, 7), (6, 5, 9)])
