@@ -81,45 +81,43 @@ def center(g: FiniteRangeFunctional, m: int) -> FiniteRangeFunctional:
     return out
 
 
-def martingale_op(f: FiniteRangeFunctional, axis: int) -> FiniteRangeFunctional:
+def line_projections(f: FiniteRangeFunctional, axis: int) -> dict[int, FiniteRangeFunctional]:
+    """``{c: project_line(f, axis, c)}`` over the window coordinates ``c``: every nonzero one."""
+    if not 0 <= axis < f.dim:
+        raise ValueError(f"axis {axis} out of range for dimension {f.dim}")
+    return {c: project_line(f, axis, c) for c in f.axis_coords(axis)}
+
+
+def martingale_op(f: FiniteRangeFunctional, axis: int, lines=None) -> FiniteRangeFunctional:
     """Sum of origin line projections over all shifts of ``f`` along one axis.
 
     The output is a martingale difference along ``axis``: its one-step past
     conditional expectation vanishes and its window keeps nonpositive
-    coordinates on that axis.
+    coordinates on that axis.  ``lines`` is :func:`line_projections` of ``f``
+    when the caller has it: ``lines[c].shift(-c e)`` is ``P_0(f.shift(-c e))``.
     """
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {f.dim}")
+    lines = line_projections(f, axis) if lines is None else lines
     e = unit(f.dim, axis)
-    shifts = [tuple(-c * x for x in e) for c in f.axis_coords(axis)]
-    return signed_sum(f.law, f.dim, ((1, project_line(f.shift(i), axis, 0)) for i in shifts))
+    return signed_sum(f.law, f.dim, ((1, p.shift([-c * x for x in e])) for c, p in lines.items()))
 
 
-def transfer_op(f: FiniteRangeFunctional, axis: int) -> FiniteRangeFunctional:
+def transfer_op(f: FiniteRangeFunctional, axis: int, lines=None) -> FiniteRangeFunctional:
     """The transfer component along one axis: the generator of the telescoping part.
 
     Exact finite double sum over (level, shift) pairs read off the window:
     nonnegative levels collect the negatively shifted projections with a minus
     sign, negative levels collect the nonnegatively shifted ones with a plus
-    sign.
+    sign.  Each projection is a shifted ``lines[c]``, as in :func:`martingale_op`.
     """
-    if not 0 <= axis < f.dim:
-        raise ValueError(f"axis {axis} out of range for dimension {f.dim}")
+    lines = line_projections(f, axis) if lines is None else lines
     coords = f.axis_coords(axis)
     e = unit(f.dim, axis)
-    # (sign, level, shift) in the order of the double sum.
-    steps = []
-    if coords:
-        w_lo, w_hi = coords[0], coords[-1]
-        steps += [(-1, lv, lv - c) for lv in range(0, w_hi) for c in coords if lv - c <= -1]
-        steps += [(1, lv, lv - c) for lv in range(w_lo, 0) for c in coords if lv - c >= 0]
+    # (sign, level, window coordinate) in the order of the double sum.
+    w_lo, w_hi = (coords[0], coords[-1]) if coords else (0, 0)
+    steps = [(-1, lv, c) for lv in range(0, w_hi) for c in coords if lv - c <= -1]
+    steps += [(1, lv, c) for lv in range(w_lo, 0) for c in coords if lv - c >= 0]
     return signed_sum(
-        f.law,
-        f.dim,
-        (
-            (sign, project_line(f.shift(tuple(k * x for x in e)), axis, level))
-            for sign, level, k in steps
-        ),
+        f.law, f.dim, ((sign, lines[c].shift([(lv - c) * x for x in e])) for sign, lv, c in steps)
     )
 
 
@@ -147,10 +145,10 @@ def decompose(f: FiniteRangeFunctional, m: int) -> CoboundaryParts:
     """Compute and verify all ``2^d`` coboundary components of an order-``m`` functional.
 
     Raises ``ValueError`` naming the violated axis and condition when ``f`` is
-    not banded at order ``m``, and :class:`VerificationError` if any verified
-    bound exceeds its tolerance (callers never receive unverified parts).  The
-    tolerances are ``RESIDUAL_TOL`` and ``MARTINGALE_TOL`` of the table in
-    :mod:`orthofield.tolerances`.
+    not banded at order ``m``, and :class:`VerificationError` if a verified bound
+    exceeds ``RESIDUAL_TOL`` or ``MARTINGALE_TOL`` (:mod:`orthofield.tolerances`):
+    callers never receive unverified parts.  Both operators on a prefix read its
+    :func:`line_projections`, so each window level of a prefix is projected once.
     """
     violations = order_violations(f, m)
     if violations:
@@ -162,8 +160,9 @@ def decompose(f: FiniteRangeFunctional, m: int) -> CoboundaryParts:
     # so each distinct prefix is built once: 2^(d+1) - 2 operators, not d 2^d.
     prefixes = {0: f}
     for axis in range(d):
+        lines = {mask: line_projections(h, axis) for mask, h in prefixes.items()}
         prefixes = {
-            mask | bit << axis: martingale_op(h, axis) if bit else transfer_op(h, axis)
+            mask | bit << axis: (martingale_op if bit else transfer_op)(h, axis, lines[mask])
             for mask, h in prefixes.items()
             for bit in (0, 1)
         }
@@ -191,14 +190,7 @@ def decompose(f: FiniteRangeFunctional, m: int) -> CoboundaryParts:
         raise VerificationError(
             "martingale property violation", martingale_violation, MARTINGALE_TOL
         )
-    return CoboundaryParts(
-        order=m,
-        dim=d,
-        components=components,
-        residual=residual,
-        kernel_residual=kernel_residual,
-        martingale_violation=martingale_violation,
-    )
+    return CoboundaryParts(m, d, components, residual, kernel_residual, martingale_violation)
 
 
 def reconstruct(parts: CoboundaryParts) -> FiniteRangeFunctional:

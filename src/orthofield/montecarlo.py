@@ -142,20 +142,23 @@ def _replicates(
     return x, None if d0_plan is None else _grid_values(d0_plan, values, n)
 
 
+def _check_request(seed: int, replicates: int, least: int = 1) -> None:
+    """Refuse, before any compute, a seed outside ``[0, 2^64)`` or under ``least`` replicates."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < least:
+        raise ValueError(f"replicates must be an integer >= {least}, got {replicates!r}")
+
+
 def _fold(stat, f, d0, n: Site, replicates: int, seed: int) -> tuple:
     """``stat(x, y)`` of the grid values of every replicate's single draw, in replicate order.
 
     ``stat`` takes a batch of replicates on the leading axis of ``x`` and ``y``
     and returns a tuple of arrays with one entry per replicate on their leading
     axis; each is joined over the batches.  A batch holds as many replicates as
-    fit ``BATCH_CELLS`` sampled cells, and at least one.  Raises ``ValueError``
-    unless ``seed`` is an integer in ``[0, 2^64)`` and ``replicates`` a positive
-    integer: every Monte Carlo entry point checks its request here.
+    fit ``BATCH_CELLS`` sampled cells, and at least one.  Callers check the
+    request first (:func:`_check_request`).
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if isinstance(replicates, bool) or not isinstance(replicates, int) or replicates < 1:
-        raise ValueError(f"replicates must be a positive integer, got {replicates!r}")
     region = sample_rect(f, n)
     f_plan = _read_plan(f, region, n)
     d0_plan = None if d0 is None else _read_plan(d0, region, n)
@@ -213,6 +216,7 @@ def cairoli_ratio(f: FiniteRangeFunctional, n: Site, replicates: int, seed: int)
 
     ``p = 2``: the second-moment case of the paper, where the bound is ``4^d``.
     """
+    _check_request(seed, replicates, 2)
     p = 2.0
     n = tuple(int(c) for c in n)
     kernel = martingale_kernel(f)
@@ -260,6 +264,7 @@ def uniform_integrability_diagnostic(
     ``E[Y^2; Y^2 > a]`` with ``Y`` the normalized rectangular maximum; rows
     are nonincreasing in ``a`` by construction.
     """
+    _check_request(seed, replicates)
     kernel = martingale_kernel(f)
     if kernel.sigma2 <= 0.0:
         raise ValueError("degenerate kernel: sigma2 is zero")
@@ -300,6 +305,7 @@ def maximal_inequality_check(
     f: FiniteRangeFunctional, n: Site, replicates: int, seed: int
 ) -> MaximalInequalityCheck:
     """Compare ``|| max_m S_m ||_2`` against ``2^d |n|^(1/2)`` times the Hannan sum."""
+    _check_request(seed, replicates, 2)
     n = tuple(int(c) for c in n)
     rhs = 2 ** len(n) * sqrt(prod(n)) * sum(hannan_profile(f).values())
     (v,) = _fold(
@@ -371,6 +377,7 @@ def sample_paths(
     ``threads`` changes nothing, since batches run one after another; it stays
     while the benchmark's traced ``clt_2d`` run times this at 1 and 2 threads.
     """
+    _check_request(seed, replicates)
     n = tuple(int(c) for c in n)
     grid = tuple(tuple(float(c) for c in t) for t in t_grid)
     norm = sqrt(prod(n))

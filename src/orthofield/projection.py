@@ -146,12 +146,13 @@ def origin_projections(f: FiniteRangeFunctional) -> OriginProjections:
 
     Only the candidates are projected: at every other shift the projection is
     zero as a function (projecting there anyway can leave a rounding residue
-    far below the Hannan drop threshold).  The Hannan coefficients are the
-    norms of these projections and the martingale kernel is their sum, so one
-    list serves both.
+    far below the Hannan drop threshold).  One :func:`project_each` pass projects
+    ``f`` at every ``-i``, sharing axis prefixes, and each result is shifted by
+    ``i``: projections commute with shifts bit for bit.
     """
-    origin = (0,) * f.dim
-    return [(i, project_full(f.shift(i), origin)) for i in kernel_shift_candidates(f)]
+    shifts = kernel_shift_candidates(f)
+    projected = project_each(f, [tuple(-c for c in i) for i in shifts]).values()
+    return [(i, p.shift(i)) for i, p in zip(shifts, projected)]
 
 
 def kernel_sum(

@@ -218,6 +218,16 @@ ENTRY_POINTS = {
 }
 
 
+def refuse_compute(monkeypatch):
+    """Make sampling and both kernel builders fail the test if they start."""
+    for name in ("sample_region", "martingale_kernel", "hannan_profile"):
+
+        def started(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} started")
+
+        monkeypatch.setattr(montecarlo, name, started)
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize(
     "replicates, seed, field",
@@ -235,16 +245,23 @@ ENTRY_POINTS = {
 def test_monte_carlo_entry_points_refuse_bad_seed_and_replicates(
     monkeypatch, entry, replicates, seed, field
 ):
-    # Each entry point goes through _fold, which refuses before anything is
-    # sampled: no seed outside [0, 2^64) replays the streams of another seed,
-    # and no replicate count reaches the batch loop unchecked.
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampling started")
-
+    # Each entry point refuses before any compute: no seed outside [0, 2^64)
+    # replays the streams of another seed, and no replicate count reaches the
+    # batch loop unchecked.  Neither the kernel nor the Hannan profile is built.
     f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
-    monkeypatch.setattr(montecarlo, "sample_region", no_sampling)
+    refuse_compute(monkeypatch)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ENTRY_POINTS[entry](f, replicates, seed)
+
+
+@pytest.mark.parametrize("entry", ["cairoli_ratio", "maximal_inequality_check"])
+def test_standard_error_entry_points_refuse_one_replicate(monkeypatch, entry):
+    # One replicate has no sample variance: refused, not answered with a nan
+    # standard error and a RuntimeWarning.
+    f = innovation_at(LAW, (0, 0)) + 0.5 * innovation_at(LAW, (-1, 0))
+    refuse_compute(monkeypatch)
+    with pytest.raises(ValueError, match=r"^replicates must be an integer >= 2, got 1$"):
+        ENTRY_POINTS[entry](f, 1, 5)
 
 
 def test_monte_carlo_entry_points_take_the_range_ends():

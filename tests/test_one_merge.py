@@ -12,11 +12,13 @@ random 2-6-atom non-dyadic laws in d = 1-3.
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from orthofield import coboundary, projection
 from orthofield.cli import main
 from orthofield.coboundary import (
     center,
@@ -42,6 +44,7 @@ from orthofield.projection import (
     Corner,
     Halfspace,
     cond_expect,
+    kernel_shift_candidates,
     project_each,
     project_full,
     project_line,
@@ -413,6 +416,64 @@ def test_decompose_components_match_the_per_mask_fold(f):
     assert list(parts.components) == list(expected)
     for mask, h in expected.items():
         assert parts.components[mask].terms == h.terms
+
+
+def record_line_projections(mp, module):
+    """Count ``(terms, axis, level)`` of every nonzero ``project_line`` call through ``module``."""
+    seen = Counter()
+    line = module.project_line
+
+    def counting(g, axis, level):
+        if level in g.axis_coords(axis):  # otherwise the projection is zero, unmerged
+            seen[g.terms, axis, level] += 1
+        return line(g, axis, level)
+
+    mp.setattr(module, "project_line", counting)
+    return seen
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=banded())
+def test_decompose_projects_each_prefix_once_per_window_level(f):
+    """Both operators on a prefix ``h`` read one line projection of ``h`` per window level.
+
+    The per-step reference projects a shifted copy of ``h`` for every
+    (level, shift) step; the package projects ``h`` itself at each of its
+    window coordinates once and shifts the results.  The kernel residual's
+    origin projections project ``f`` once per distinct nonzero axis prefix of
+    the negated shift candidates.
+    """
+    if f.is_zero:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        operators = record_line_projections(mp, coboundary)
+        residual = record_line_projections(mp, projection)
+        parts = decompose(f, 2)
+    expected = step_components(f)
+    assert list(parts.components) == list(expected)
+    for mask, h in expected.items():
+        assert parts.components[mask].terms == h.terms
+
+    want = Counter()
+    prefixes = [f]
+    for axis in range(f.dim):
+        for h in prefixes:
+            for c in h.axis_coords(axis):
+                want[h.terms, axis, c] += 1
+        prefixes = [op(h, axis) for h in prefixes for op in (step_transfer_op, step_martingale_op)]
+    assert operators == want
+
+    want = Counter()
+    targets = [tuple(-c for c in i) for i in kernel_shift_candidates(f)]
+    partial = {(): f}
+    for axis in range(f.dim):
+        prefixes = dict.fromkeys(t[: axis + 1] for t in targets)
+        for t in prefixes:
+            g = partial[t[:axis]]
+            if t[axis] in g.axis_coords(axis):
+                want[g.terms, axis, t[axis]] += 1
+        partial = {t: step_project_line(partial[t[:axis]], axis, t[axis]) for t in prefixes}
+    assert residual == want
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -145,22 +145,35 @@ def test_exact_report_bytes_are_pinned(tmp_path, name, command):
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digests[command]
 
 
+def count_line_projections(monkeypatch, module):
+    """Record ``(axis, level)`` of every nonzero ``project_line`` call made through ``module``.
+
+    A level outside the window returns zero at once, unmerged, so it is not counted.
+    """
+    lines = []
+    line = module.project_line
+
+    def counting(g, axis, level):
+        if level in g.axis_coords(axis):
+            lines.append((axis, level))
+        return line(g, axis, level)
+
+    monkeypatch.setattr(module, "project_line", counting)
+    return lines
+
+
 def test_describe_projects_each_candidate_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(f, j):
-        calls.append(j)
-        return project_full(f, j)
-
-    for module in (projection, dependence):
-        if hasattr(module, "project_full"):
-            monkeypatch.setattr(module, "project_full", counting)
+    # ``f`` is projected at every negated candidate in one pass that shares
+    # axis prefixes, and each result is shifted: 5 line projections serve the
+    # 4 candidates.
+    lines = count_line_projections(monkeypatch, projection)
     doc, _ = PINNED_REPORTS["mixed_kinds_2d"]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     f = resolve_config(doc).functional
-    assert len(calls) == len(list(kernel_shift_candidates(f))) == 4
+    assert len(kernel_shift_candidates(f)) == 4
+    assert len(lines) == 5
 
 
 # -- strategies ----------------------------------------------------------------
@@ -303,12 +316,8 @@ def test_projection_pass_matches_per_candidate_reference(f, data):
 def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
     doc = {"dimension": 3, "functional": "counterexample:5"}
     f = resolve_config(doc).functional
-    calls = []
+    lines = count_line_projections(monkeypatch, projection)
     corners = []
-
-    def counting_project(g, j):
-        calls.append(j)
-        return project_full(g, j)
 
     cond_expect = dependence.cond_expect
 
@@ -317,13 +326,14 @@ def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
             corners.append(cond)
         return cond_expect(g, cond)
 
-    monkeypatch.setattr(projection, "project_full", counting_project)
     monkeypatch.setattr(dependence, "cond_expect", counting_cond)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(full_candidates(f)) == 1331
-    assert len(calls) == 11
+    # The 11 live candidates, projected with shared prefixes: 13 line projections.
+    assert len(kernel_shift_candidates(f)) == 11
+    assert len(lines) == 13
     # Every Maxwell-Woodroofe index integrates out the origin read x_k, whose
     # Rademacher mean is exactly 0.0: no conditional expectation is built.
     # Without the zero-mean skip each of the 1000 indices would build one.
@@ -339,29 +349,23 @@ def test_describe_projects_only_the_live_shifts(tmp_path, monkeypatch):
 
 # Canonicalizations in one decompose of mixed_kinds_2d at order 2.  The
 # per-step code made one merge per +, -, negation, shift and conditional
-# expectation: 124 merges (_merge_terms) for the same call.
-DECOMPOSE_CANONICALIZATIONS = 36
+# expectation: 124 merges (_merge_terms) for the same call.  Both operators on
+# a prefix read one line projection per window level, shifted.
+DECOMPOSE_CANONICALIZATIONS = 32
 
 
 def test_decompose_canonicalizes_once_per_operator(monkeypatch):
     doc, _ = PINNED_REPORTS["mixed_kinds_2d"]
     f = resolve_config(doc).functional
     calls = []
-    lines = []
     canonical = functional._canonical
-    line = coboundary.project_line
 
     def counting_canonical(acc):
         calls.append(len(acc))
         return canonical(acc)
 
-    def counting_line(g, axis, level):
-        if level in g.axis_coords(axis):  # otherwise the projection is zero, unmerged
-            lines.append(level)
-        return line(g, axis, level)
-
     monkeypatch.setattr(functional, "_canonical", counting_canonical)
-    monkeypatch.setattr(coboundary, "project_line", counting_line)
+    lines = count_line_projections(monkeypatch, coboundary)
     # One canonicalization per nonzero line projection plus one for the sum.
     for op in (coboundary.martingale_op, coboundary.transfer_op):
         for axis in range(f.dim):
